@@ -6,8 +6,6 @@ Graded characters are Laurent polynomials in t stored as dicts
 degree -> coefficient.
 """
 
-import numpy as np
-
 from .alcoves import (
     count_fundamental_paths,
     embed,
@@ -266,17 +264,6 @@ class KLRModule:
     def dim(self):
         return len(self.basis)
 
-    def e_idempotent(self, i_seq):
-        d = self.dim()
-        mat = np.zeros((d, d), dtype=np.int64)
-        for k, res in enumerate(self.residues):
-            if res == i_seq:
-                mat[k, k] = 1
-        return mat
-
-    def y_matrix(self, k):
-        return np.zeros((self.dim(), self.dim()), dtype=np.int64)
-
     def psi_map(self, k):
         """Column map of psi_k: for each basis index the image index, or -1
         when the vector is killed.  psi_k swaps entries k, k+1 when their
@@ -291,14 +278,6 @@ class KLRModule:
             else:
                 out.append(self.index[_swap_entries(t, k)])
         return out
-
-    def psi_matrix(self, k):
-        d = self.dim()
-        mat = np.zeros((d, d), dtype=np.int64)
-        for col, row in enumerate(self.psi_map(k)):
-            if row >= 0:
-                mat[row, col] = 1
-        return mat
 
     def residue_sequences(self):
         return sorted(set(self.residues))

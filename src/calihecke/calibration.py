@@ -152,9 +152,9 @@ def charged_splittings_of_border(I, ell, e):
     Returns a sorted list of (multipartition, charge) pairs; every output
     satisfies is_cali and has border multiset equal to I.
     """
-    I = sorted(set(I))
     if len(I) != len(set(I)):
         raise ValueError("border set must be duplicate-free")
+    I = sorted(I)
     if not I:
         return []
     h = len(I)

@@ -118,6 +118,8 @@ def cmd_classify(args):
     ch = _parse_charge(args)
     if args.n is None:
         _die_usage("MISSING_N", "--n is required for classify")
+    if args.n < 0:
+        _die_usage("BAD_PARAMETERS", "need n >= 0")
     rows = []
     for mp in sorted(reachable_by_size(args.n, ch)[args.n]):
         hb = heights(mp)
@@ -189,7 +191,11 @@ def cmd_bgg(args):
     hb = heights(la)
     if sum(hb) >= ch.e:
         _die_usage("BAD_PARAMETERS", "need e > total height")
-    if not in_fundamental_alcove(la, ch, hb):
+    try:
+        fundamental = in_fundamental_alcove(la, ch, hb)
+    except ValueError as ex:
+        _die_usage("ORIGIN_ON_WALL", str(ex))
+    if not fundamental:
         _die_usage("NOT_FUNDAMENTAL", "label not in the fundamental alcove")
     poset = bggmod.block_poset(la, ch, hb, cross_validate=True)
     edges = bggmod.covers(poset)
@@ -337,8 +343,15 @@ def cmd_verify(args):
     return 0 if all(report.values()) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports bad arguments as a JSON error."""
+
+    def error(self, message):
+        _die_usage("BAD_ARGUMENTS", f"{self.prog}: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="calihecke")
+    parser = _Parser(prog="calihecke")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -1,71 +1,155 @@
 """Exact arithmetic in Q(zeta_e) and exact real-part comparisons.
 
-Elements are stored as length-e vectors of Fractions, meaning
-sum_k coeffs[k] * zeta^k with zeta = exp(2*pi*i/e), reduced modulo the e-th
-cyclotomic polynomial.  No floating point is used anywhere; comparisons of
-real parts of roots of unity go through the integer rule in re_compare.
+An element of Q(zeta_e), zeta = exp(2*pi*i/e), is stored as (e, num, den):
+``num`` holds the integer numerators on the power basis
+1, zeta, ..., zeta^(phi(e)-1) of Q[x]/Phi_e, and ``den`` is one shared
+positive denominator.  The form is canonical (gcd(den, *num) = 1), so
+equality is tuple equality and a rational element hashes as the Fraction it
+equals.
+
+Everything inside the kernel is Python-int arithmetic.  Phi_e is monic, so
+x^k mod Phi_e has integer coefficients; one per-e table of those rows (see
+_power_table) reduces products, builds zeta powers and applies the Galois
+maps zeta -> zeta^j, conjugation among them.  The inverse multiplies the
+other Galois conjugates and divides by the rational norm.  No floating
+point is used anywhere; comparisons of real parts of roots of unity go
+through the integer rule in re_compare.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e):
     """Coefficients of Phi_e, constant term first, as a tuple of ints."""
     # divide x^e - 1 by Phi_d for every proper divisor d of e
-    poly = [Fraction(-1)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (e - 1) + [1]
     for d in range(1, e):
         if e % d == 0:
-            poly = _polydiv_exact(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
-    return tuple(int(c) for c in poly)
+            poly = _polydiv_exact(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
 
 
 def _polydiv_exact(num, den):
-    """Exact polynomial division (remainder must vanish)."""
-    q, r = _polydivmod(num, den)
-    assert all(c == 0 for c in r), "non-exact cyclotomic division"
+    """Quotient of integer polynomials (constant term first) by a monic
+    divisor; raises ArithmeticError when the remainder does not vanish."""
+    den = list(den)
+    while den and den[-1] == 0:
+        den.pop()
+    if not den or den[-1] != 1:
+        raise ValueError("divisor must be a monic polynomial")
+    num = list(num)
+    dn = len(den) - 1
+    q = [0] * max(len(num) - dn, 1)
+    for i in range(len(num) - 1, dn - 1, -1):
+        coef = num[i]
+        if coef:
+            q[i - dn] = coef
+            for j in range(dn + 1):
+                num[i - dn + j] -= coef * den[j]
+    if any(num[:dn]):
+        raise ArithmeticError("non-exact cyclotomic division")
     return q
 
 
-def _polydivmod(num, den):
-    num = list(num)
-    while den and den[-1] == 0:
-        den = den[:-1]
-    dn = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * max(len(num) - dn, 1)
-    for i in range(len(num) - 1, dn - 1, -1):
-        coef = num[i] / lead
-        q[i - dn] = coef
-        if coef:
-            for j in range(dn + 1):
-                num[i - dn + j] -= coef * den[j]
-    return q, num[:dn] if dn > 0 else [Fraction(0)]
+@lru_cache(maxsize=None)
+def _power_table(e):
+    """Rows x^k mod Phi_e on the power basis, for k < max(2 phi(e) - 1, e):
+    enough to reduce the product of two reduced elements, and to map any
+    zeta^k (x^e = 1) into the basis."""
+    phi = cyclotomic_polynomial(e)
+    d = len(phi) - 1
+    row = [1] + [0] * (d - 1)
+    rows = []
+    for _ in range(max(2 * d - 1, e)):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * p for r, p in zip(row, phi)]
+    return tuple(rows)
 
 
-def _reduce(coeffs, e):
-    """Reduce a coefficient list modulo Phi_e, padded to length e."""
-    phi = [Fraction(c) for c in cyclotomic_polynomial(e)]
-    _, r = _polydivmod([Fraction(c) for c in coeffs], phi)
-    r = list(r) + [Fraction(0)] * (e - len(r))
-    return tuple(r[:e])
+@lru_cache(maxsize=None)
+def _galois_rows(e, j):
+    """Images of the basis vectors zeta^k under zeta -> zeta^j."""
+    table = _power_table(e)
+    return tuple(table[(j * k) % e] for k in range(len(table[0])))
+
+
+def _apply_rows(num, rows):
+    """The integer vector sum_k num[k] * rows[k]."""
+    out = [0] * len(rows[0])
+    for c, row in zip(num, rows):
+        if c:
+            for t, r in enumerate(row):
+                if r:
+                    out[t] += c * r
+    return out
+
+
+def _mulmod(e, a, b):
+    """Product of integer vectors a, b on the power basis, reduced mod Phi_e."""
+    d = len(a)
+    if d == 1 or not any(b[1:]):
+        s = b[0]
+        return [x * s for x in a]
+    if not any(a[1:]):
+        s = a[0]
+        return [s * y for y in b]
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    prod[j] += x * y
+    out, high = prod[:d], prod[d:]
+    if any(high):
+        out = [x + y for x, y in zip(out, _apply_rows(high, _power_table(e)[d:]))]
+    return out
+
+
+def _new(e, num, den):
+    """An element from canonical data, without checks."""
+    x = object.__new__(Cyc)
+    x.e, x.num, x.den = e, num, den
+    return x
+
+
+def _canonical(e, num, den):
+    """An element from integer numerators and a positive denominator,
+    divided by their common content."""
+    g = gcd(den, *num)
+    if g != 1:
+        return _new(e, tuple(c // g for c in num), den // g)
+    return _new(e, tuple(num), den)
 
 
 class Cyc:
     """An element of Q(zeta_e)."""
 
-    __slots__ = ("e", "coeffs")
+    __slots__ = ("e", "num", "den")
 
-    def __init__(self, e, coeffs, reduced=False):
+    def __init__(self, e, coeffs):
+        """The element sum_k coeffs[k] * zeta^k, for int or Fraction
+        coefficients; the list may have any length."""
+        table = _power_table(e)
+        fracs = [Fraction(c) for c in coeffs] or [Fraction(0)]
+        den = lcm(*(c.denominator for c in fracs))
+        acc = _apply_rows([c.numerator * (den // c.denominator) for c in fracs],
+                          [table[k % e] for k in range(len(fracs))])
+        g = gcd(den, *acc)
         self.e = e
-        self.coeffs = tuple(coeffs) if reduced else _reduce(coeffs, e)
+        self.num = tuple(c // g for c in acc)
+        self.den = den // g
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(e):
-        return Cyc(e, (Fraction(0),) * e, reduced=True)
+        return _new(e, (0,) * len(_power_table(e)[0]), 1)
 
     @staticmethod
     def one(e):
@@ -73,15 +157,13 @@ class Cyc:
 
     @staticmethod
     def from_rational(e, q):
-        c = [Fraction(0)] * e
-        c[0] = Fraction(q)
-        return Cyc(e, c, reduced=True) if e > 1 else Cyc(e, c)
+        q = Fraction(q)
+        d = len(_power_table(e)[0])
+        return _new(e, (q.numerator,) + (0,) * (d - 1), q.denominator)
 
     @staticmethod
     def zeta_power(e, k):
-        c = [Fraction(0)] * (k % e + 1)
-        c[k % e] = Fraction(1)
-        return Cyc(e, c)
+        return _new(e, _power_table(e)[k % e], 1)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -98,12 +180,20 @@ class Cyc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyc(self.e, [a + b for a, b in zip(self.coeffs, other.coeffs)], reduced=True)
+        da, db = self.den, other.den
+        if da == db:
+            num = [x + y for x, y in zip(self.num, other.num)]
+        else:
+            num = [x * db + y * da for x, y in zip(self.num, other.num)]
+            da *= db
+        if da == 1:
+            return _new(self.e, tuple(num), 1)
+        return _canonical(self.e, num, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.e, [-a for a in self.coeffs], reduced=True)
+        return _new(self.e, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -118,41 +208,27 @@ class Cyc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        e = self.e
-        prod = [Fraction(0)] * (2 * e - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return Cyc(e, prod)
+        return _canonical(self.e, _mulmod(self.e, self.num, other.num),
+                          self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_e over Q."""
-        if self.is_zero():
+        """Multiplicative inverse.  With a = num/den and P the product of
+        the Galois conjugates of num other than num itself, num * P is the
+        norm N, a nonzero integer, so a^-1 = den * P / N."""
+        a, e = self.num, self.e
+        if not any(a):
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        e = self.e
-        a = list(self.coeffs)
-        while a and a[-1] == 0:
-            a.pop()
-        b = [Fraction(c) for c in cyclotomic_polynomial(e)]
-        # extended gcd on polynomials: track u with u*a = gcd mod Phi_e
-        r0, r1 = b, a
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _polydivmod(r0, r1)
-            while r and r[-1] == 0:
-                r.pop()
-            u_new = _polysub(u0, _polymul(q, u1))
-            r0, u0 = r1, u1
-            r1, u1 = (r if r else [Fraction(0)]), u_new
-        # r0 is a nonzero constant gcd (Phi_e is irreducible)
-        assert len([c for c in r0 if c != 0]) == 1 and r0 and r0[-1] != 0
-        const = next(c for c in r0 if c != 0)
-        return Cyc(e, [c / const for c in u0])
+        prod = [1] + [0] * (len(a) - 1)
+        for j in range(2, e):
+            if gcd(j, e) == 1:
+                prod = _mulmod(e, prod, _apply_rows(a, _galois_rows(e, j)))
+        norm = _mulmod(e, a, prod)
+        if any(norm[1:]) or not norm[0]:
+            raise ArithmeticError("norm of a cyclotomic number is not a nonzero rational")
+        scale = self.den if norm[0] > 0 else -self.den
+        return _canonical(e, [scale * c for c in prod], abs(norm[0]))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -164,53 +240,42 @@ class Cyc:
         return self.inv() * other
 
     def conj(self):
-        """Complex conjugation: zeta^k -> zeta^(e-k)."""
-        e = self.e
-        out = [Fraction(0)] * e
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[(-k) % e] += c
-        return Cyc(e, out)
+        """Complex conjugation: zeta^k -> zeta^(e-k).  The map is an
+        integer matrix that is its own inverse, so the content, and with it
+        the canonical form, is kept."""
+        rows = _galois_rows(self.e, -1)
+        return _new(self.e, tuple(_apply_rows(self.num, rows)), self.den)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __eq__(self, other):
+        if isinstance(other, Cyc) and other.e != self.e:
+            # Q lies in every Q(zeta_e), and rationals hash as Fractions
+            if any(self.num[1:]) or any(other.num[1:]):
+                raise ValueError("mixed cyclotomic orders")
+            return self.num[0] == other.num[0] and self.den == other.den
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.e == other.e and self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.e, self.coeffs))
+        if any(self.num[1:]):
+            return hash((self.e, self.num, self.den))
+        return hash(Fraction(self.num[0], self.den))
 
     def __repr__(self):
-        terms = [f"{c}*z^{k}" for k, c in enumerate(self.coeffs) if c]
+        terms = [f"{Fraction(c, self.den)}*z^{k}" for k, c in enumerate(self.num) if c]
         return f"Cyc({self.e}: {' + '.join(terms) or '0'})"
 
     def to_complex(self):
         """Float approximation (diagnostics only, never decisions)."""
         import cmath
         z = cmath.exp(2j * cmath.pi / self.e)
-        return sum(float(c) * z**k for k, c in enumerate(self.coeffs))
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+        return sum(c / self.den * z**k for k, c in enumerate(self.num))
 
 
 def re_compare(d1, d2, e):
@@ -228,5 +293,4 @@ def re_compare(d1, d2, e):
 
 def is_primitive_power_one(d, e):
     """Is zeta^d a primitive e-th root of unity?"""
-    from math import gcd
     return gcd(d, e) == 1

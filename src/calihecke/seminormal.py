@@ -8,7 +8,7 @@ Q(zeta_e); operators are kept column-sparse (at most two entries per
 column).
 """
 
-from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomics import Cyc, re_compare
 
@@ -91,15 +91,15 @@ class SeminormalModule:
         return [[(j, self._b(wt, k))] for j, wt in enumerate(self.cls)]
 
     def _t_op(self, i):
+        e = self.e
         cols = []
         for j, wt in enumerate(self.cls):
-            bi, bi1 = self._b(wt, i), self._b(wt, i + 1)
-            diag = bi1 * (self.q - 1) / (bi1 - bi)
+            diag, off = _t_entries(e, self.a, wt[i - 1] % e, wt[i] % e)
             col = [(j, diag)]
-            if admissible_transposition(wt, i, self.e):
+            if admissible_transposition(wt, i, e):
                 swapped = list(wt)
                 swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                col.append((self.index[tuple(swapped)], diag - self.q))
+                col.append((self.index[tuple(swapped)], off))
             cols.append(col)
         return cols
 
@@ -110,7 +110,8 @@ class SeminormalModule:
         out = {}
         for j, c in vec.items():
             for i, coeff in op[j]:
-                out[i] = out.get(i, Cyc.zero(self.e)) + coeff * c
+                term = coeff * c
+                out[i] = out[i] + term if i in out else term
         return {i: c for i, c in out.items() if not c.is_zero()}
 
     def compose(self, ops, j):
@@ -136,6 +137,17 @@ class SeminormalModule:
         return [[(j, col[0][1].inv())] for j, col in enumerate(self.X[k - 1])]
 
 
+@lru_cache(maxsize=None)
+def _t_entries(e, a, mi, mi1):
+    """The T_i entries at a weight with (m_i, m_{i+1}) = (mi, mi1) mod e:
+    the diagonal b_{i+1}(q - 1)/(b_{i+1} - b_i) and the off-diagonal
+    diagonal - q.  At most e^2 pairs per (e, a)."""
+    q = Cyc.zeta_power(e, a)
+    bi, bi1 = Cyc.zeta_power(e, a * mi), Cyc.zeta_power(e, a * mi1)
+    diag = bi1 * (q - 1) / (bi1 - bi)
+    return diag, diag - q
+
+
 def seminormal_module(cls, e, a=1):
     return SeminormalModule(cls, e, a)
 
@@ -148,7 +160,7 @@ def verify_hecke_relations(mod):
     def same(vec1, vec2):
         keys = set(vec1) | set(vec2)
         z = Cyc.zero(mod.e)
-        return all((vec1.get(k, z) - vec2.get(k, z)).is_zero() for k in keys)
+        return all(vec1.get(k, z) == vec2.get(k, z) for k in keys)
 
     def check(name, left_ops, right_ops, scale=None):
         ok = True
@@ -282,24 +294,23 @@ def is_unitary_class(mod):
 def verify_form_invariance(mod):
     """Check < M u, v > = < u, M^{-1} v > for M = T_i and X_i against the
     exact diagonal Gram form, i.e. G M = (M^{-1})^dagger G with dagger the
-    cyclotomic conjugate-transpose."""
-    G = form_values(mod)
-    dim = mod.dim()
+    cyclotomic conjugate-transpose.
 
-    def dense(op):
-        mat = [[Cyc.zero(mod.e) for _ in range(dim)] for _ in range(dim)]
-        for j, col in enumerate(op):
-            for i, c in col:
-                mat[i][j] = c
-        return mat
+    (G M)_{ij} = G_i M_{ij} and ((M^{-1})^dagger G)_{ij} = conj(Minv_{ji}) G_j
+    both vanish outside the supports of M and Minv^T, so only entries on
+    their union are compared: O(dim) per operator, since every column holds
+    at most two entries."""
+    G = form_values(mod)
+    zero = Cyc.zero(mod.e)
+
+    def entries(op):
+        return {(i, j): c for j, col in enumerate(op) for i, c in col}
 
     def invariant(op, op_inv):
-        M, Minv = dense(op), dense(op_inv)
-        for i in range(dim):
-            for j in range(dim):
-                # (G M)_{ij} = G_i M_{ij}; ((M^{-1})^dagger G)_{ij} = conj(Minv_{ji}) G_j
-                if G[i] * M[i][j] != Minv[j][i].conj() * G[j]:
-                    return False
+        M, Minv = entries(op), entries(op_inv)
+        for i, j in M.keys() | {(j, i) for i, j in Minv}:
+            if G[i] * M.get((i, j), zero) != Minv.get((j, i), zero).conj() * G[j]:
+                return False
         return True
 
     report = {}

@@ -68,6 +68,8 @@ class UnitaryLocus:
         self.points = tuple(sorted(set(points)))
 
     def __eq__(self, other):
+        if not isinstance(other, UnitaryLocus):
+            return NotImplemented
         return (self.full, self.exclusions, self.radius, self.points) == \
                (other.full, other.exclusions, other.radius, other.points)
 

@@ -1,0 +1,134 @@
+"""Slow, independent references for the fast paths of calihecke.
+
+``FracCyc`` is the original Fraction-vector arithmetic in Q(zeta_e): a
+length-e vector of Fractions, reduced by polynomial division modulo Phi_e
+after every product, inverted by the extended Euclidean algorithm over Q.
+``dense_form_invariance`` is the original dense form-invariance check, which
+compares every entry of G M with every entry of (M^{-1})^dagger G.
+"""
+
+from fractions import Fraction
+
+from calihecke.cyclotomics import Cyc, cyclotomic_polynomial
+from calihecke.seminormal import form_values
+
+
+def _polydivmod(num, den):
+    num = list(num)
+    while den and den[-1] == 0:
+        den = den[:-1]
+    dn = len(den) - 1
+    lead = den[-1]
+    q = [Fraction(0)] * max(len(num) - dn, 1)
+    for i in range(len(num) - 1, dn - 1, -1):
+        coef = num[i] / lead
+        q[i - dn] = coef
+        if coef:
+            for j in range(dn + 1):
+                num[i - dn + j] -= coef * den[j]
+    return q, num[:dn] if dn > 0 else [Fraction(0)]
+
+
+def _reduce(coeffs, e):
+    """Reduce a coefficient list modulo Phi_e, padded to length e."""
+    phi = [Fraction(c) for c in cyclotomic_polynomial(e)]
+    _, r = _polydivmod([Fraction(c) for c in coeffs], phi)
+    r = list(r) + [Fraction(0)] * (e - len(r))
+    return tuple(r[:e])
+
+
+def _polymul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _polysub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+class FracCyc:
+    """An element of Q(zeta_e) as a reduced length-e Fraction vector."""
+
+    def __init__(self, e, coeffs):
+        self.e = e
+        self.coeffs = _reduce(coeffs, e)
+
+    def __add__(self, other):
+        return FracCyc(self.e, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return FracCyc(self.e, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return FracCyc(self.e, _polymul(self.coeffs, other.coeffs))
+
+    def inv(self):
+        if all(c == 0 for c in self.coeffs):
+            raise ZeroDivisionError("inverse of zero cyclotomic number")
+        a = list(self.coeffs)
+        while a and a[-1] == 0:
+            a.pop()
+        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(self.e)], a
+        u0, u1 = [Fraction(0)], [Fraction(1)]
+        while any(c != 0 for c in r1):
+            q, r = _polydivmod(r0, r1)
+            while r and r[-1] == 0:
+                r.pop()
+            u_new = _polysub(u0, _polymul(q, u1))
+            r0, u0 = r1, u1
+            r1, u1 = (r if r else [Fraction(0)]), u_new
+        const = next(c for c in r0 if c != 0)
+        return FracCyc(self.e, [c / const for c in u0])
+
+    def conj(self):
+        out = [Fraction(0)] * self.e
+        for k, c in enumerate(self.coeffs):
+            out[(-k) % self.e] += c
+        return FracCyc(self.e, out)
+
+    def __eq__(self, other):
+        return self.e == other.e and self.coeffs == other.coeffs
+
+
+def power_basis_vector(x):
+    """A Cyc as the padded length-e Fraction vector FracCyc keeps."""
+    vec = [Fraction(c, x.den) for c in x.num]
+    return tuple(vec + [Fraction(0)] * (x.e - len(vec)))
+
+
+def dense_form_invariance(mod):
+    """G M = (M^{-1})^dagger G on dense dim x dim matrices, entry by entry."""
+    G = form_values(mod)
+    dim = mod.dim()
+
+    def dense(op):
+        mat = [[Cyc.zero(mod.e) for _ in range(dim)] for _ in range(dim)]
+        for j, col in enumerate(op):
+            for i, c in col:
+                mat[i][j] = c
+        return mat
+
+    def invariant(op, op_inv):
+        M, Minv = dense(op), dense(op_inv)
+        for i in range(dim):
+            for j in range(dim):
+                if G[i] * M[i][j] != Minv[j][i].conj() * G[j]:
+                    return False
+        return True
+
+    report = {}
+    for i in range(1, mod.n):
+        report[f"T_{i}"] = invariant(mod.T[i - 1], mod.t_inverse(i))
+    for k in range(1, mod.n + 1):
+        report[f"X_{k}"] = invariant(mod.X[k - 1], mod.x_inverse(k))
+    return report

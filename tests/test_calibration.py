@@ -124,6 +124,11 @@ def test_bad_border_rejected():
         charged_splittings_of_border((0, 1, 2), 2, 3)  # |I| = e
 
 
+def test_border_with_duplicates_rejected():
+    with pytest.raises(ValueError):
+        charged_splittings_of_border([0, 0, 1], 2, 4)
+
+
 def test_padding_with_empty_components():
     outs = pad_with_empty_components(EXAMPLE_MP, EXAMPLE_CH, 6)
     assert len(outs) == 77

@@ -129,3 +129,24 @@ def test_verify_bad_suite(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2
     assert json.loads(err)["error"] == "BAD_SUITE"
+
+
+def test_negative_n_rejected(capsys):
+    code, out, err = run(capsys, "classify", "--e", "3", "--charge", "0", "--n", "-1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BAD_PARAMETERS"
+
+
+def test_origin_on_wall_rejected(capsys):
+    code, out, err = run(capsys, "bgg", "--e", "4", "--charge", "0,0",
+                         "--multipartition", "[[1],[1]]")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ORIGIN_ON_WALL"
+
+
+def test_argparse_errors_are_json(capsys):
+    for argv in (["classify", "--e", "x", "--charge", "0", "--n", "3"],
+                 ["nosuch"], [], ["locus", "--format", "xml"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "BAD_ARGUMENTS"

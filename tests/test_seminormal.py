@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from calihecke.calibration import enumerate_cali
 from calihecke.cyclotomics import Cyc
 from calihecke.multipartitions import Charge
 from calihecke.seminormal import (
+    _t_entries,
     admissible_transposition,
     class_form_signs,
     cyclotomic_membership,
@@ -20,6 +22,7 @@ from calihecke.seminormal import (
     verify_hecke_relations,
     weight_class,
 )
+from oracles import dense_form_invariance
 
 
 def test_calibrated_weight_examples():
@@ -153,3 +156,52 @@ def test_all_classes_satisfy_relations(e, n):
         mod = seminormal_module(cls, e)
         assert all(verify_hecke_relations(mod).values())
         assert all(verify_form_invariance(mod).values())
+
+
+def test_sparse_invariance_matches_dense_oracle():
+    # the criterion-6 sweep: every calibrated class, e 2..6, n 1..5, coprime a
+    checked = 0
+    for e in range(2, 7):
+        for n in range(1, 6):
+            for cls in enumerate_calibrated_classes(n, e):
+                for a in range(1, e):
+                    if gcd(a, e) != 1:
+                        continue
+                    mod = seminormal_module(cls, e, a)
+                    assert verify_form_invariance(mod) == dense_form_invariance(mod)
+                    checked += 1
+    assert checked == 1358
+
+
+def test_corrupted_operator_fails_invariance():
+    cls = weight_class((0, 2, 1, 3), 4)
+    cases = (("T_1", "diagonal"), ("T_1", "new entry"), ("X_1", "new entry"),
+             ("X_1", "inverse entry"))
+    for op, corrupt in cases:
+        mod = seminormal_module(cls, 4)
+        col = (mod.T if op[0] == "T" else mod.X)[0][0]
+        # an index outside the support of the operator's first column
+        k = min(set(range(mod.dim())) - {i for i, _ in col})
+        if corrupt == "diagonal":
+            j, c = col[0]
+            col[0] = (j, c + 1)
+        elif corrupt == "new entry":
+            # x_inverse reads only the diagonal, so for X_1 the entry is
+            # outside the support of the inverse as well
+            col.append((k, Cyc.one(4)))
+        else:  # an entry only the inverse has
+            x_inverse = mod.x_inverse
+            mod.x_inverse = lambda i: [c + [(k, Cyc.one(4))] if j == 0 else c
+                                       for j, c in enumerate(x_inverse(i))]
+        sparse, dense = verify_form_invariance(mod), dense_form_invariance(mod)
+        assert sparse == dense
+        assert not sparse[op]
+
+
+def test_cached_t_entries_match_the_formula():
+    for e, a in [(4, 1), (5, 2), (6, 5)]:
+        q = Cyc.zeta_power(e, a)
+        for mi, mi1 in itertools.permutations(range(e), 2):
+            bi, bi1 = Cyc.zeta_power(e, a * mi), Cyc.zeta_power(e, a * mi1)
+            diag = bi1 * (q - 1) / (bi1 - bi)
+            assert _t_entries(e, a, mi, mi1) == (diag, diag - q)

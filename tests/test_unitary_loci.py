@@ -153,3 +153,11 @@ def test_closed_form_matches_oracle_small():
                     assert U.contains(c) == oracle_locus_verdict(la, a, e), (la, a, e)
                     if c != Fraction(1, 2):  # -1/2 falls outside the window
                         assert U.contains(-c) == oracle_locus_verdict(la, -a % e, e), (la, a, e)
+
+
+def test_locus_equality_with_other_types():
+    loc = UnitaryLocus(radius=Fraction(1, 3))
+    assert loc.__eq__(1) is NotImplemented
+    assert loc != 1
+    assert loc != "locus"
+    assert loc == UnitaryLocus(radius=Fraction(1, 3))
