@@ -16,7 +16,6 @@ from .multipartitions import (
     remove_box,
     removable_boxes,
     tableau_boxes_by_entry,
-    _DUMMY_CHARGE_FOR,
 )
 
 
@@ -74,8 +73,8 @@ def in_fundamental_alcove(mp, ch, hbar):
     For each positive root the inner product must avoid all hyperplanes and
     sit in the same e-window as the origin's.
     """
-    v = tuple(a + b for a, b in zip(embed(mp, hbar), rho(ch, hbar)))
     p = rho(ch, hbar)
+    v = tuple(a + b for a, b in zip(embed(mp, hbar), p))
     e = ch.e
     for i, j in _pairs(len(v)):
         d0 = p[i] - p[j]
@@ -89,12 +88,16 @@ def in_fundamental_alcove(mp, ch, hbar):
 
 def length(mp, ch, hbar):
     """Number of hyperplanes strictly separating lambda + rho from rho."""
-    v = tuple(a + b for a, b in zip(embed(mp, hbar), rho(ch, hbar)))
     p = rho(ch, hbar)
-    e = ch.e
+    return point_length(tuple(a + b for a, b in zip(embed(mp, hbar), p)), p, ch.e)
+
+
+def point_length(v, base, e):
+    """Number of hyperplanes <x, alpha> = r*e strictly separating the point
+    v from the point base; neither may lie on a hyperplane."""
     total = 0
     for i, j in _pairs(len(v)):
-        d0 = p[i] - p[j]
+        d0 = base[i] - base[j]
         d = v[i] - v[j]
         if d0 % e == 0 or d % e == 0:
             raise ValueError("point on a hyperplane")
@@ -176,8 +179,7 @@ def count_fundamental_paths(mp, ch, hbar):
         if all(not comp for comp in shape):
             memo[shape] = 1
             return 1
-        total = sum(count(remove_box(shape, b))
-                    for b in removable_boxes(shape, _DUMMY_CHARGE_FOR(shape)))
+        total = sum(count(remove_box(shape, b)) for b in removable_boxes(shape))
         memo[shape] = total
         return total
 

@@ -10,6 +10,7 @@ from .alcoves import (
     count_fundamental_paths,
     embed,
     in_fundamental_alcove,
+    point_length,
     rho,
     tableau_to_path,
     path_residues,
@@ -17,14 +18,16 @@ from .alcoves import (
 from .multipartitions import (
     count_standard_tableaux,
     mp_size,
+    remove_box,
     residue_multiset,
     standard_tableaux,
     tableau_boxes_by_entry,
-    tableau_degree,
     tableau_from_box_order,
+    tableau_shape,
     dominates,
     multipartitions_of,
     heights,
+    _step_degrees,
 )
 
 
@@ -83,20 +86,8 @@ class BlockPoset:
                             points[mp] = w
                             frontier.append(w)
         self.points = points
-        self.lengths = {mp: self._length(v) for mp, v in points.items()}
+        self.lengths = {mp: point_length(v, self.base, e) for mp, v in points.items()}
         self.nodes = sorted(points, key=lambda mp: (self.lengths[mp], mp))
-
-    def _length(self, v):
-        e = self.ch.e
-        total = 0
-        for i in range(len(v)):
-            for j in range(i + 1, len(v)):
-                d = v[i] - v[j]
-                d0 = self.base[i] - self.base[j]
-                if d % e == 0:
-                    raise ValueError("orbit point on a hyperplane")
-                total += abs(d // e - d0 // e)
-        return total
 
 
 def block_poset(la, ch, hbar, cross_validate=False):
@@ -199,12 +190,29 @@ def sign_assignment(poset, edges=None):
 
 
 def graded_specht_character(mu, ch):
-    """Sum over standard tableaux of t^degree, as a dict degree -> count."""
-    out = {}
-    for t in standard_tableaux(mu):
-        d = tableau_degree(t, ch)
-        out[d] = out.get(d, 0) + 1
-    return out
+    """Sum over standard tableaux of t^degree, as a dict degree -> count.
+
+    A tableau's degree is the sum of its step degrees d(shape, box), so
+    char(mu) = sum over removable b of t^d(mu, b) char(mu - b), with
+    char(empty) = 1; each prefix shape is visited once.
+    """
+    memo = {}
+
+    def char(shape):
+        out = memo.get(shape)
+        if out is not None:
+            return out
+        if any(shape):
+            out = {}
+            for b, d in _step_degrees(shape, ch).items():
+                for k, x in char(remove_box(shape, b)).items():
+                    out[k + d] = out.get(k + d, 0) + x
+        else:
+            out = {0: 1}
+        memo[shape] = out
+        return out
+
+    return char(mu)
 
 
 def euler_check(la, ch, hbar):
@@ -220,13 +228,14 @@ def graded_character_identity(la, ch, hbar):
     the shift conventions c = 1 and c = 2; report which hold."""
     poset = block_poset(la, ch, hbar)
     rhs = count_fundamental_paths(la, ch, hbar)
+    chars = {mu: graded_specht_character(mu, ch) for mu in poset.nodes}
     report = {}
     for c in (1, 2):
         total = {}
         for mu in poset.nodes:
             ln = poset.lengths[mu]
             sign = (-1) ** ln
-            for d, coeff in graded_specht_character(mu, ch).items():
+            for d, coeff in chars[mu].items():
                 key = d + c * ln
                 total[key] = total.get(key, 0) + sign * coeff
         total = {d: x for d, x in total.items() if x}
@@ -246,20 +255,11 @@ class KLRModule:
             raise ValueError("label must lie in the fundamental alcove")
         self.ch, self.hbar = ch, hbar
         self.n = mp_size(la)
-        self.basis = sorted(t for t in standard_tableaux(la)
-                            if self._stays_in_alcove(t))
+        self.basis = sorted(standard_tableaux(
+            la, keep=lambda shape: in_fundamental_alcove(shape, ch, hbar)))
         self.index = {t: k for k, t in enumerate(self.basis)}
         self.residues = [path_residues(tableau_to_path(t, hbar), ch, hbar)
                          for t in self.basis]
-
-    def _stays_in_alcove(self, t):
-        by_entry = tableau_boxes_by_entry(t)
-        order = [by_entry[k] for k in range(1, self.n + 1)]
-        for k in range(self.n + 1):
-            shape = tableau_from_box_order_shape(order[:k], len(self.ch.s))
-            if not in_fundamental_alcove(shape, self.ch, self.hbar):
-                return False
-        return True
 
     def dim(self):
         return len(self.basis)
@@ -283,23 +283,10 @@ class KLRModule:
         return sorted(set(self.residues))
 
 
-def tableau_from_box_order_shape(order, ell):
-    """Shape of the partial tableau holding the boxes in `order`."""
-    maxes = {}
-    for r, c, m in order:
-        maxes[(m, r)] = max(maxes.get((m, r), 0), c)
-    mp = []
-    for m in range(1, ell + 1):
-        nrows = max((r for (mm, r) in maxes if mm == m), default=0)
-        mp.append(tuple(maxes[(m, r)] for r in range(1, nrows + 1)))
-    return tuple(mp)
-
-
 def _swap_entries(t, k):
     by_entry = tableau_boxes_by_entry(t)
     order = [by_entry[j] for j in range(1, len(by_entry) + 1)]
     order[k - 1], order[k] = order[k], order[k - 1]
-    from .multipartitions import tableau_shape
     return tableau_from_box_order(tableau_shape(t), order)
 
 
@@ -325,12 +312,19 @@ def verify_klr_relations(mod):
     psis = {k: mod.psi_map(k) for k in range(1, n)}
     report = {}
 
-    # R1: the e_i are the indicators of the residue-sequence fibres, hence
-    # orthogonal idempotents summing to the identity; check the fibres
-    # partition the basis, and that psi_k sends the i-fibre into s_k(i)
-    report["R1_sum"] = sorted(j for i in mod.residue_sequences()
-                              for j, r in enumerate(res) if r == i) == list(range(d))
-    report["R1_orth"] = True  # distinct indicator fibres are disjoint by R1_sum
+    # R1: the e_i are the indicators of the fibres of the sequences listed by
+    # residue_sequences(); they sum to the identity when every basis index
+    # lies in at least one listed fibre, and are orthogonal when it lies in
+    # at most one.  Also check that psi_k sends the i-fibre into s_k(i)
+    fibres = {}
+    for j, r in enumerate(res):
+        fibres.setdefault(r, []).append(j)
+    hits = [0] * d
+    for i in mod.residue_sequences():
+        for j in fibres.get(i, ()):
+            hits[j] += 1
+    report["R1_sum"] = all(hits)
+    report["R1_orth"] = all(x <= 1 for x in hits)
     ok = True
     for k in range(1, n):
         for j, target in enumerate(psis[k]):

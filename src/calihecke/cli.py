@@ -9,6 +9,7 @@ error.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from math import gcd
@@ -80,7 +81,7 @@ def _parse_multipartition(args):
     try:
         raw = json.loads(args.multipartition)
         mp = tuple(tuple(int(x) for x in comp) for comp in raw)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         _die_usage("BAD_MULTIPARTITION", "--multipartition must be a JSON array of arrays")
     if not is_multipartition(mp):
         _die_usage("BAD_MULTIPARTITION", "components must be partitions")
@@ -319,6 +320,7 @@ def _locus_task(la):
 
 def _verify_locus(n_max, jobs):
     tasks = [la for n in range(1, n_max + 1) for la in partitions_of(n)]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
@@ -377,6 +379,8 @@ def main(argv=None):
         _die_usage("MISSING_E", "--e is required")
     if args.e is not None and args.e < 2:
         _die_usage("BAD_PARAMETERS", "need e >= 2")
+    if args.jobs < 1:
+        _die_usage("BAD_PARAMETERS", "need --jobs >= 1")
     handlers = {
         "classify": cmd_classify,
         "seminormal": cmd_seminormal,

@@ -118,7 +118,9 @@ def remove_box(mp, b):
     return tuple(out)
 
 
-def addable_boxes(mp, ch, i=None):
+def addable_boxes(mp, ch=None, i=None):
+    """Addable boxes of mp; with a residue i (and its charge ch) only
+    those of residue i."""
     out = []
     for m, comp in enumerate(mp, start=1):
         for r in range(1, len(comp) + 2):
@@ -131,7 +133,9 @@ def addable_boxes(mp, ch, i=None):
     return out
 
 
-def removable_boxes(mp, ch, i=None):
+def removable_boxes(mp, ch=None, i=None):
+    """Removable boxes of mp; with a residue i (and its charge ch) only
+    those of residue i."""
     out = []
     for m, comp in enumerate(mp, start=1):
         for r in range(1, len(comp) + 1):
@@ -220,16 +224,23 @@ def tableau_from_box_order(mp, order):
     return tuple(tuple(tuple(row) for row in comp) for comp in filling)
 
 
-def standard_tableaux(mp):
-    """Yield all standard tableaux of mp (in a deterministic order)."""
+def standard_tableaux(mp, keep=None):
+    """Yield all standard tableaux of mp (in a deterministic order).
+
+    With a predicate keep(shape), yield only the tableaux all of whose
+    prefix shapes (the empty one and mp included) satisfy it; the walk does
+    not descend past a prefix shape that fails it.
+    """
     n = mp_size(mp)
     order = []
 
     def rec(shape):
+        if keep is not None and not keep(shape):
+            return
         if len(order) == n:
             yield tableau_from_box_order(mp, order)
             return
-        for b in sorted(addable_boxes(shape, _DUMMY_CHARGE_FOR(shape))):
+        for b in sorted(addable_boxes(shape)):
             r, c, m = b
             if r > len(mp[m - 1]) or c > mp[m - 1][r - 1]:
                 continue  # outside the target shape
@@ -240,17 +251,11 @@ def standard_tableaux(mp):
     yield from rec(tuple(() for _ in mp))
 
 
-def _DUMMY_CHARGE_FOR(mp):
-    # addable_boxes only consults the charge when filtering by residue
-    return Charge((0,) * len(mp), 2)
-
-
 @lru_cache(maxsize=None)
 def count_standard_tableaux(mp):
     if mp_size(mp) == 0:
         return 1
-    ch = _DUMMY_CHARGE_FOR(mp)
-    return sum(count_standard_tableaux(remove_box(mp, b)) for b in removable_boxes(mp, ch))
+    return sum(count_standard_tableaux(remove_box(mp, b)) for b in removable_boxes(mp))
 
 
 def reverse_column_reading_tableau(mp, m=1):
@@ -269,9 +274,28 @@ def reverse_column_reading_tableau(mp, m=1):
     return tableau_from_box_order(mp, order)
 
 
+def _step_degrees(mu, ch):
+    """{b: d(mu, b)} over the removable boxes b of mu.
+
+    d(mu, b) is the degree of the step that adds b last to reach mu: the
+    number of addable boxes of mu with b's residue strictly more dominant
+    than b, minus the number of such removable boxes (Brundan-Kleshchev-Wang,
+    Graded Specht modules).  It depends only on mu and b, so a tableau's
+    degree is the sum of the steps along its prefix shapes.
+    """
+    add = [(residue(x, ch), box_key(x, ch)) for x in addable_boxes(mu)]
+    rem_boxes = removable_boxes(mu)
+    rem = [(residue(x, ch), box_key(x, ch)) for x in rem_boxes]
+    out = {}
+    for b, (i, key) in zip(rem_boxes, rem):
+        out[b] = (sum(1 for j, k in add if j == i and k > key)
+                  - sum(1 for j, k in rem if j == i and k > key))
+    return out
+
+
 def tableau_degree(t, ch):
-    """Sum over entries of (#addable - #removable) same-residue boxes of the
-    prefix shape strictly more dominant than the entry's box."""
+    """Sum over entries of the step degree of the entry's box in its prefix
+    shape (see _step_degrees)."""
     by_entry = tableau_boxes_by_entry(t)
     n = len(by_entry)
     shape = tuple(() for _ in t)
@@ -279,11 +303,7 @@ def tableau_degree(t, ch):
     for k in range(1, n + 1):
         b = by_entry[k]
         shape = add_box(shape, b)
-        i = residue(b, ch)
-        key = box_key(b, ch)
-        add = sum(1 for x in addable_boxes(shape, ch, i) if box_key(x, ch) > key)
-        rem = sum(1 for x in removable_boxes(shape, ch, i) if box_key(x, ch) > key)
-        deg += add - rem
+        deg += _step_degrees(shape, ch)[b]
     return deg
 
 

@@ -5,11 +5,22 @@ length-e vector of Fractions, reduced by polynomial division modulo Phi_e
 after every product, inverted by the extended Euclidean algorithm over Q.
 ``dense_form_invariance`` is the original dense form-invariance check, which
 compares every entry of G M with every entry of (M^{-1})^dagger G.
+``tableau_sum_character`` is the original graded character, a sum over every
+standard tableau of t^degree; ``alcove_filtered_basis`` is the original KLR
+basis, every standard tableau filtered by rebuilding each prefix shape from
+its boxes and testing it against the fundamental alcove.
 """
 
 from fractions import Fraction
 
+from calihecke.alcoves import in_fundamental_alcove
 from calihecke.cyclotomics import Cyc, cyclotomic_polynomial
+from calihecke.multipartitions import (
+    mp_size,
+    standard_tableaux,
+    tableau_boxes_by_entry,
+    tableau_degree,
+)
 from calihecke.seminormal import form_values
 
 
@@ -132,3 +143,38 @@ def dense_form_invariance(mod):
     for k in range(1, mod.n + 1):
         report[f"X_{k}"] = invariant(mod.X[k - 1], mod.x_inverse(k))
     return report
+
+
+def tableau_sum_character(mu, ch):
+    """Sum over the standard tableaux of mu of t^degree, as degree -> count."""
+    out = {}
+    for t in standard_tableaux(mu):
+        d = tableau_degree(t, ch)
+        out[d] = out.get(d, 0) + 1
+    return out
+
+
+def _prefix_shape(order, ell):
+    """Shape of the partial tableau holding the boxes in `order`."""
+    maxes = {}
+    for r, c, m in order:
+        maxes[(m, r)] = max(maxes.get((m, r), 0), c)
+    mp = []
+    for m in range(1, ell + 1):
+        nrows = max((r for (mm, r) in maxes if mm == m), default=0)
+        mp.append(tuple(maxes[(m, r)] for r in range(1, nrows + 1)))
+    return tuple(mp)
+
+
+def alcove_filtered_basis(la, ch, hbar):
+    """The sorted standard tableaux of la all of whose prefix shapes lie in
+    the fundamental alcove."""
+    n = mp_size(la)
+    out = []
+    for t in standard_tableaux(la):
+        by_entry = tableau_boxes_by_entry(t)
+        order = [by_entry[k] for k in range(1, n + 1)]
+        if all(in_fundamental_alcove(_prefix_shape(order[:k], len(la)), ch, hbar)
+               for k in range(n + 1)):
+            out.append(t)
+    return sorted(out)

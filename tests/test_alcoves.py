@@ -119,13 +119,16 @@ def test_fundamental_paths_bounded_by_standard_tableaux():
                 continue
             cf = count_fundamental_paths(mp, CH, HBAR)
             assert 1 <= cf <= count_standard_tableaux(mp)
-            # dual route: count paths directly through the tableau list
+            # dual routes: count paths directly through the tableau list, and
+            # through the walk that prunes prefix shapes outside the alcove
             direct = sum(
                 1 for t in standard_tableaux(mp)
                 if all(in_fundamental_alcove(shape, CH, HBAR)
                        for shape in _prefix_shapes(t))
             )
-            assert cf == direct
+            pruned = standard_tableaux(
+                mp, keep=lambda shape: in_fundamental_alcove(shape, CH, HBAR))
+            assert cf == direct == sum(1 for _ in pruned)
 
 
 def _prefix_shapes(t):

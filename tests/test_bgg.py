@@ -1,6 +1,14 @@
+import itertools
+
 import pytest
 
-from calihecke.alcoves import count_fundamental_paths, in_fundamental_alcove
+from calihecke.alcoves import (
+    count_fundamental_paths,
+    in_fundamental_alcove,
+    length,
+    path_residues,
+    tableau_to_path,
+)
 from calihecke.bgg import (
     block_poset,
     build_klr_module,
@@ -17,8 +25,10 @@ from calihecke.multipartitions import (
     Charge,
     count_standard_tableaux,
     heights,
+    is_s_admissible,
     multipartitions_of,
 )
+from oracles import alcove_filtered_basis, tableau_sum_character
 
 
 def test_level_one_block_21():
@@ -52,6 +62,7 @@ def test_block_with_diamond():
         ((4,), ()): 2,
         ((), (4,)): 2,
     }
+    assert all(poset.lengths[mu] == length(mu, CH, HBAR) for mu in poset.nodes)
     edges = covers(poset)
     assert len(edges) == 5
     diamonds, strands = diamonds_and_strands(poset, edges)
@@ -126,3 +137,55 @@ def test_dominance_block_is_superset_closed():
     assert LA in blocks
     assert ((4,), ()) in blocks
     assert len(blocks) == 5
+
+
+def test_klr_r1_detects_duplicated_and_dropped_fibres(monkeypatch):
+    mod = build_klr_module(((2, 1), (1,)), Charge((0, 2), 5), (2, 1))
+    seqs = mod.residue_sequences()
+    assert len(seqs) >= 2
+    report = verify_klr_relations(mod)
+    assert report["R1_sum"] and report["R1_orth"]
+    monkeypatch.setattr(mod, "residue_sequences", lambda: seqs + seqs[:1])
+    report = verify_klr_relations(mod)
+    assert not report["R1_orth"] and report["R1_sum"]
+    monkeypatch.setattr(mod, "residue_sequences", lambda: seqs[1:])
+    report = verify_klr_relations(mod)
+    assert not report["R1_sum"] and report["R1_orth"]
+
+
+def _fundamental_labels(n_max):
+    """(la, ch, hbar) over the criterion 9-11 range: e in 2..6, levels 1-2,
+    charges with s_1 = 0, n <= n_max, labels in the fundamental alcove."""
+    for e in range(2, 7):
+        for ell in (1, 2):
+            for rest in itertools.combinations_with_replacement(range(e), ell - 1):
+                ch = Charge((0,) + rest, e)
+                for n in range(n_max + 1):
+                    for la in multipartitions_of(n, ell):
+                        hb = heights(la)
+                        if sum(hb) >= e or not is_s_admissible(hb, ch):
+                            continue
+                        try:
+                            if not in_fundamental_alcove(la, ch, hb):
+                                continue
+                        except ValueError:
+                            continue
+                        yield la, ch, hb
+
+
+def test_prefix_shape_recursions_match_tableau_oracles():
+    nodes = set()
+    labels = 0
+    for la, ch, hb in _fundamental_labels(8):
+        labels += 1
+        nodes.update((mu, ch) for mu in block_poset(la, ch, hb).nodes)
+        if ch.e > 2:
+            mod = build_klr_module(la, ch, hb)
+            basis = alcove_filtered_basis(la, ch, hb)
+            assert mod.basis == basis, (la, ch)
+            assert mod.residues == [path_residues(tableau_to_path(t, hb), ch, hb)
+                                    for t in basis], (la, ch)
+            assert mod.dim() == count_fundamental_paths(la, ch, hb), (la, ch)
+    for mu, ch in nodes:
+        assert graded_specht_character(mu, ch) == tableau_sum_character(mu, ch), (mu, ch)
+    assert (labels, len(nodes)) == (1464, 1930)

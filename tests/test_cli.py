@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import multiprocessing
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from calihecke import cli
 from calihecke.cli import main
 
 
@@ -150,3 +156,102 @@ def test_argparse_errors_are_json(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "BAD_ARGUMENTS"
+
+
+def test_jobs_below_one_rejected(capsys):
+    for jobs in ("0", "-2"):
+        code, out, err = run(capsys, "verify", "locus", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "BAD_PARAMETERS"
+
+
+def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, f, tasks):
+            return [f(x) for x in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(cli, "_locus_task", lambda la: True)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for jobs, expected in (("64", [3]), ("2", [2]), ("1", [])):
+        sizes.clear()
+        code, out, _ = run(capsys, "verify", "locus", "--jobs", jobs)
+        assert code == 0 and json.loads(out) == {"locus": True}
+        assert sizes == expected, jobs
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    sizes.clear()
+    assert run(capsys, "verify", "locus", "--jobs", "8")[0] == 0
+    assert sizes == []
+
+
+# Each subcommand starts from a valid call (verify from an unknown suite, so
+# that no sweep ever runs); one to three flags are then set to malformed or
+# borderline values, or dropped.  Every value is small enough that a valid
+# combination runs in milliseconds.
+VALID = {
+    "classify": {"--e": "3", "--charge": "0,1", "--n": "2"},
+    "seminormal": {"--e": "5", "--a": "2", "--partition": "2,1"},
+    "bgg": {"--e": "4", "--charge": "0,1", "--multipartition": "[[1,1],[2]]"},
+    "locus": {"--partition": "3,2"},
+    "verify": {},
+}
+# malformed values first: hypothesis draws the head of a list more often
+FLAG_VALUES = {
+    "--e": ["x", "", "2.5", "-3", "0", "1", "2", "3", "5"],
+    "--a": ["x", "0", "-1", "1", "2"],
+    "--charge": ["x", "", ",", "0,,1", "1,0", "0,4", "0,0", "-1", "0", "0,1"],
+    "--n": ["x", "", "-1", "0", "2"],
+    "--partition": ["x", "", ",", "0", "3,-1", "1,2", "1", "2,1"],
+    "--multipartition": ["[[1e999]]", "[[1],", "", "3", "null", "{}", "[[\"a\"]]", "[[0]]",
+                         "[[1,2]]", "[]", "[[2,1]]", "[[1],[1]]", "[[1],[2]]"],
+    "--weight": ["x", "", "-1,3", "0,0", "0,1,2", "0,2"],
+    "--format": ["xml", "", "json", "tsv"],
+    "--jobs": ["x", "-1", "0", "1"],
+}
+BAD_SUITES = ["nope", "", "LOCUS", "all,locus"]
+STRAY = ["--bogus", "x", "--e"]
+
+
+@st.composite
+def malformed_argv(draw):
+    command = draw(st.sampled_from(sorted(VALID)))
+    flags = dict(VALID[command])
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), min_size=1,
+                              max_size=3, unique=True)):
+        value = draw(st.sampled_from(FLAG_VALUES[flag] + [None]))
+        if value is None:
+            flags.pop(flag, None)
+        else:
+            flags[flag] = value
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(BAD_SUITES)))
+    for flag, value in flags.items():
+        argv += [flag, value]
+    return argv + draw(st.lists(st.sampled_from(STRAY), max_size=1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(malformed_argv())
+def test_cli_contract_on_malformed_arguments(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            code = ex.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error" in json.loads(err.getvalue().strip().splitlines()[-1]), argv

@@ -98,6 +98,8 @@ def test_box_key_order():
 @settings(max_examples=80, deadline=None)
 def test_add_remove_roundtrip(data):
     mp, ch = data
+    assert addable_boxes(mp) == addable_boxes(mp, ch)
+    assert removable_boxes(mp) == removable_boxes(mp, ch)
     for b in addable_boxes(mp, ch):
         assert remove_box(add_box(mp, b), b) == mp
     for b in removable_boxes(mp, ch):
