@@ -11,11 +11,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from math import gcd
 
 from .multipartitions import (
-    Charge,
     count_standard_tableaux,
     heights,
     is_cylindrical_charge,
@@ -23,7 +21,6 @@ from .multipartitions import (
     is_partition,
     is_s_admissible,
     make_charge,
-    mp_size,
     partitions_of,
 )
 from .calibration import is_cali, is_flotw
@@ -41,9 +38,20 @@ from .seminormal import (
 )
 from .unitary_loci import (
     column_reading_weight,
-    oracle_locus_verdict,
     unitary_locus,
 )
+from . import sweeps
+
+# The suites of `calihecke verify` at their own ranges; the acceptance gate
+# runs the same sweeps over wider ones.  `klr` takes every sorted charge in
+# [0, e)^ell, not only those with s_1 = 0.
+VERIFY_LOCUS_NS, VERIFY_LOCUS_ES = range(1, 8), range(2, 11)
+VERIFY_SWEEPS = {
+    "classification": lambda: sweeps.classification_sweep(range(2, 5), (1, 2), 6),
+    "seminormal": lambda: sweeps.seminormal_sweep(range(2, 6), range(1, 5)),
+    "klr": lambda: sweeps.alcove_sweep(range(3, 6), (1, 2), 5, pinned=False),
+    "locus": lambda: sweeps.locus_sweep(VERIFY_LOCUS_NS, VERIFY_LOCUS_ES),
+}
 
 
 def _fmt_rational(c):
@@ -80,9 +88,14 @@ def _parse_multipartition(args):
         return None
     try:
         raw = json.loads(args.multipartition)
-        mp = tuple(tuple(int(x) for x in comp) for comp in raw)
-    except (ValueError, TypeError, OverflowError):
-        _die_usage("BAD_MULTIPARTITION", "--multipartition must be a JSON array of arrays")
+    except ValueError:
+        raw = None
+    # JSON integers only: int() would round 1.5 and accept true or "1"
+    if not (isinstance(raw, list) and all(
+            isinstance(comp, list) and all(type(x) is int for x in comp) for comp in raw)):
+        _die_usage("BAD_MULTIPARTITION",
+                   "--multipartition must be a JSON array of arrays of integers")
+    mp = tuple(tuple(comp) for comp in raw)
     if not is_multipartition(mp):
         _die_usage("BAD_MULTIPARTITION", "components must be partitions")
     return mp
@@ -238,109 +251,27 @@ def cmd_locus(args):
     return 0
 
 
-def _verify_classification(e_max, n_max):
-    import itertools
-    from .crystal import is_no_stuttering, is_reachable
-    from .calibration import enumerate_cali
-    from .multipartitions import multipartitions_of
-    ok = True
-    for e in range(2, e_max + 1):
-        for ell in (1, 2):
-            for s in itertools.product(range(e), repeat=ell):
-                if tuple(sorted(s)) != s or s[0] != 0:
-                    continue
-                ch = Charge(s, e)
-                for n in range(n_max + 1):
-                    for mp in multipartitions_of(n, ell):
-                        if is_no_stuttering(mp, ch) != is_cali(mp, ch):
-                            ok = False
-                        if is_reachable(mp, ch) != is_flotw(mp, ch):
-                            ok = False
-    return ok
-
-
-def _verify_seminormal(e_max, n_max):
-    from .seminormal import enumerate_calibrated_classes
-    ok = True
-    for e in range(2, e_max + 1):
-        for n in range(1, n_max + 1):
-            for cls in enumerate_calibrated_classes(n, e):
-                for a in range(1, e):
-                    if gcd(a, e) != 1:
-                        continue
-                    mod = seminormal_module(cls, e, a)
-                    if not all(verify_hecke_relations(mod).values()):
-                        ok = False
-                    if not all(verify_form_invariance(mod).values()):
-                        ok = False
-    return ok
-
-
-def _verify_klr(e_max, n_max):
-    import itertools
-    from .multipartitions import multipartitions_of
-    ok = True
-    for e in range(3, e_max + 1):
-        for ell in (1, 2):
-            for s in itertools.product(range(e), repeat=ell):
-                if tuple(sorted(s)) != s:
-                    continue
-                ch = Charge(s, e)
-                for n in range(n_max + 1):
-                    for la in multipartitions_of(n, ell):
-                        hb = heights(la)
-                        if sum(hb) >= e or not is_s_admissible(hb, ch):
-                            continue
-                        try:
-                            if not in_fundamental_alcove(la, ch, hb):
-                                continue
-                        except ValueError:
-                            continue
-                        mod = bggmod.build_klr_module(la, ch, hb)
-                        if not all(bggmod.verify_klr_relations(mod).values()):
-                            ok = False
-                        if not bggmod.euler_check(la, ch, hb)["ok"]:
-                            ok = False
-    return ok
-
-
 def _locus_task(la):
-    loc = unitary_locus(la)
-    for e in range(2, 11):
-        for a in range(-(e // 2), e // 2 + 1):
-            if gcd(a, e) != 1:
-                continue
-            c = Fraction(a, e)
-            if not -Fraction(1, 2) < c <= Fraction(1, 2):
-                continue
-            if loc.contains(c) != oracle_locus_verdict(la, a % e, e):
-                return False
-    return True
+    return sweeps.holds(sweeps.locus_records(la, VERIFY_LOCUS_ES))
 
 
-def _verify_locus(n_max, jobs):
-    tasks = [la for n in range(1, n_max + 1) for la in partitions_of(n)]
+def _verify_locus(jobs):
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_locus_task, tasks)
-    else:
-        results = [_locus_task(la) for la in tasks]
-    return all(results)
+    if jobs == 1:
+        return sweeps.holds(VERIFY_SWEEPS["locus"]())
+    import multiprocessing
+    with multiprocessing.Pool(jobs) as pool:
+        tasks = [la for n in VERIFY_LOCUS_NS for la in partitions_of(n)]
+        return all(pool.map(_locus_task, tasks))
 
 
 def cmd_verify(args):
-    suites = {
-        "classification": lambda: _verify_classification(4, 6),
-        "seminormal": lambda: _verify_seminormal(5, 4),
-        "klr": lambda: _verify_klr(5, 5),
-        "locus": lambda: _verify_locus(7, args.jobs),
-    }
-    selected = sorted(suites) if args.suite == "all" else [args.suite]
-    if any(s not in suites for s in selected):
-        _die_usage("BAD_SUITE", f"unknown suite; choose from {sorted(suites)} or all")
-    report = {name: suites[name]() for name in selected}
+    selected = sorted(VERIFY_SWEEPS) if args.suite == "all" else [args.suite]
+    if any(s not in VERIFY_SWEEPS for s in selected):
+        _die_usage("BAD_SUITE", f"unknown suite; choose from {sorted(VERIFY_SWEEPS)} or all")
+    # with --jobs, locus goes by partition over a pool of processes
+    report = {name: _verify_locus(args.jobs) if name == "locus"
+              else sweeps.holds(VERIFY_SWEEPS[name]()) for name in selected}
     _emit(report, args.format)
     return 0 if all(report.values()) else 1
 

@@ -206,15 +206,32 @@ def verify_hecke_relations(mod):
     return report
 
 
-def _class_edges(cls, index, e):
+def _propagate(cls, e, start, step, inconsistent):
+    """Values on the weight class cls, start at cls[0], carried along every
+    admissible transposition s_i: the value at s_i b is the value at b times
+    step(b, i).  Raises ValueError(inconsistent) when two paths disagree."""
+    index = {b: j for j, b in enumerate(cls)}
+    adj = {}
     for j, wt in enumerate(cls):
         for i in range(1, len(wt)):
-            if admissible_transposition(wt, i, e):
-                swapped = list(wt)
-                swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                k = index[tuple(swapped)]
-                if j < k:
-                    yield j, k, i
+            if wt[i - 1] != wt[i] and admissible_transposition(wt, i, e):
+                swapped = wt[:i - 1] + (wt[i], wt[i - 1]) + wt[i + 1:]
+                adj.setdefault(j, []).append((index[swapped], i))
+    vals = {0: start}
+    frontier = [0]
+    while frontier:
+        j = frontier.pop()
+        for k, i in adj.get(j, []):
+            target = vals[j] * step(cls[j], i)
+            if k in vals:
+                if vals[k] != target:
+                    raise ValueError(inconsistent)
+            else:
+                vals[k] = target
+                frontier.append(k)
+    if len(vals) != len(cls):
+        raise ValueError("weight class is not connected by admissible transpositions")
+    return [vals[j] for j in range(len(cls))]
 
 
 def class_form_signs(cls, e, a=1):
@@ -223,41 +240,21 @@ def class_form_signs(cls, e, a=1):
     admissible transpositions; the ratio rule is
     sign(A_{s_i b}/A_b) = sign(Re(q) - Re(b_i/b_{i+1})), decided exactly by
     re_compare on exponents.  No matrices are needed."""
+
+    def step(wt, i):
+        # Re(q) against Re(b_i / b_{i+1}) at the source weight
+        cmp = re_compare(a, a * (wt[i - 1] - wt[i]), e)
+        if cmp == 0:
+            raise ValueError("wall weight: Re(ratio) = Re(q) inside a class")
+        return 1 if cmp > 0 else -1
+
     cls = sorted(cls)
-    index = {b: i for i, b in enumerate(cls)}
-    signs = {0: 1}
-    adj = {}
-    for j, k, i in _class_edges(cls, index, e):
-        adj.setdefault(j, []).append((k, i))
-        adj.setdefault(k, []).append((j, i))
-    frontier = [0]
-    while frontier:
-        j = frontier.pop()
-        wt = cls[j]
-        for k, i in adj.get(j, []):
-            # ratio b_i / b_{i+1} at the source weight of the transposition
-            d = a * (wt[i - 1] - wt[i])
-            cmp = re_compare(a, d, e)  # Re(q) vs Re(ratio)
-            if cmp == 0:
-                raise ValueError("wall weight: Re(ratio) = Re(q) inside a class")
-            step = 1 if cmp > 0 else -1
-            if k in signs:
-                if signs[k] != signs[j] * step:
-                    raise ValueError("inconsistent sign propagation around a cycle")
-            else:
-                signs[k] = signs[j] * step
-                frontier.append(k)
-    if len(signs) != len(cls):
-        raise ValueError("weight class is not connected by admissible transpositions")
-    return {cls[j]: s for j, s in signs.items()}
+    signs = _propagate(cls, e, 1, step, "inconsistent sign propagation around a cycle")
+    return dict(zip(cls, signs))
 
 
 def form_signs(mod):
     return class_form_signs(mod.cls, mod.e, mod.a)
-
-
-def _edges(mod):
-    yield from _class_edges(mod.cls, mod.index, mod.e)
 
 
 def form_values(mod):
@@ -265,26 +262,13 @@ def form_values(mod):
     base weight normalized to A = 1, propagated by the ratio
     A_{s_i b} / A_b = (b_i - q b_{i+1}) / (q b_i - b_{i+1}), which is what
     form invariance under T_i forces."""
-    vals = {0: Cyc.one(mod.e)}
-    adj = {}
-    for j, k, i in _edges(mod):
-        adj.setdefault(j, []).append((k, i))
-        adj.setdefault(k, []).append((j, i))
-    frontier = [0]
-    while frontier:
-        j = frontier.pop()
-        wt = mod.cls[j]
-        for k, i in adj.get(j, []):
-            bi, bi1 = mod._b(wt, i), mod._b(wt, i + 1)
-            ratio = (bi - mod.q * bi1) / (mod.q * bi - bi1)
-            target = vals[j] * ratio
-            if k in vals:
-                if vals[k] != target:
-                    raise ValueError("inconsistent form values around a cycle")
-            else:
-                vals[k] = target
-                frontier.append(k)
-    return [vals[j] for j in range(mod.dim())]
+
+    def step(wt, i):
+        bi, bi1 = mod._b(wt, i), mod._b(wt, i + 1)
+        return (bi - mod.q * bi1) / (mod.q * bi - bi1)
+
+    return _propagate(mod.cls, mod.e, Cyc.one(mod.e), step,
+                      "inconsistent form values around a cycle")
 
 
 def is_unitary_class(mod):

@@ -14,6 +14,7 @@ from .crystal import e_tilde, is_no_stuttering
 from .multipartitions import (
     Charge,
     charged_content,
+    remove_box,
     residue,
     reverse_column_reading_tableau,
     standard_tableaux,
@@ -169,18 +170,13 @@ def q_admissible_tableaux(la, e):
         for k in range(len(by_entry), 0, -1):
             b = by_entry[k]
             down = e_tilde(shape, ch, residue(b, ch))
-            if down is None or down != _remove(shape, b):
+            if down is None or down != remove_box(shape, b):
                 good = False
                 break
             shape = down
         if good:
             out.append(t)
     return out
-
-
-def _remove(shape, b):
-    from .multipartitions import remove_box
-    return remove_box(shape, b)
 
 
 def column_reading_weight(la, e):

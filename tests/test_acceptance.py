@@ -2,187 +2,124 @@
 tolerance.  Each test prints a single pass/fail line."""
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from calihecke.alcoves import (
-    count_fundamental_paths,
-    in_fundamental_alcove,
-    path_degree,
-    tableau_to_path,
-)
-from calihecke.bgg import (
-    block_poset,
-    build_klr_module,
-    covers,
-    euler_check,
-    graded_character_identity,
-    sign_assignment,
-    verify_klr_relations,
-)
-from calihecke.calibration import is_cali, is_flotw
-from calihecke.crystal import e_tilde, is_no_stuttering, reachable_by_size
+import pytest
+
+from calihecke.alcoves import path_degree, tableau_to_path
 from calihecke.multipartitions import (
-    Charge,
     boxes,
     box_key,
     dominates,
     heights,
     is_s_admissible,
-    mp_size,
     multipartitions_of,
     residue,
     standard_tableaux,
     tableau_degree,
 )
-from calihecke.seminormal import (
-    class_form_signs,
-    enumerate_calibrated_classes,
-    seminormal_module,
-    verify_form_invariance,
-    verify_hecke_relations,
+from calihecke.sweeps import (
+    Tally,
+    alcove_sweep,
+    charges,
+    classification_sweep,
+    locus_sweep,
+    seminormal_sweep,
+    tally,
 )
-from calihecke.multipartitions import partitions_of
-from calihecke.unitary_loci import (
-    is_calibrated_level1_crystal,
-    positivity_oracle,
-    unitary_locus,
-)
-
-
-import pytest
 
 
 @pytest.fixture
 def report(capsys):
-    """Emit one pass/fail line per criterion on the real stdout."""
+    """Emit one pass/fail line per criterion on the real stdout; ``problem``
+    is None when the criterion holds, else what went wrong."""
 
-    def _report(num, label, ok):
+    def _report(num, label, problem):
         with capsys.disabled():
-            print(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'}")
-        assert ok, f"criterion {num} ({label}) failed"
+            print(f"criterion {num} ({label}): {'PASS' if problem is None else 'FAIL'}")
+        assert problem is None, f"criterion {num} ({label}) failed: {problem}"
 
     return _report
 
 
-def _charges(e, ell):
-    """Cylindrical charges with s_1 = 0 and entries in [0, e)."""
-    out = []
-    for rest in itertools.combinations_with_replacement(range(e), ell - 1):
-        out.append(Charge((0,) + rest, e))
-    return out
+def _problem(tallies, check, floor, existential=False):
+    """Why a check fails its criterion, or None.  Every check must reach its
+    floor (the count of the current ranges, so that a sweep that stops
+    checking fails instead of passing vacuously) with no case skipped; a
+    universal check must never fail, an existential one somewhere."""
+    t = tallies.get(check, Tally(0, 0, 0, None))
+    if not existential and t.first_failure is not None:
+        return f"first failing record {t.first_failure}"
+    if t.checked < floor or t.skipped:
+        return f"{check}: {t.checked} cases checked (floor {floor}), {t.skipped} skipped"
+    if existential and not t.failed:
+        return f"{check} holds on all {t.checked} cases"
+    return None
 
 
 # -- criteria 1-3: classification sweep -------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _classification_sweep():
-    """Returns (crit1_ok, crit2_ok, crit3_ok) over the full sweep."""
-    c1 = c2 = c3 = True
-    for e in range(2, 7):
-        for ell in (1, 2, 3):
-            for ch in _charges(e, ell):
-                layers = reachable_by_size(8, ch)
-                for n in range(9):
-                    reachable = layers[n]
-                    for mp in multipartitions_of(n, ell):
-                        cali = is_cali(mp, ch)
-                        if is_no_stuttering(mp, ch) != cali:
-                            c1 = False
-                        if (mp in reachable) != is_flotw(mp, ch):
-                            c2 = False
-                        if cali:
-                            for i in range(e):
-                                down = e_tilde(mp, ch, i)
-                                if down is not None and not is_cali(down, ch):
-                                    c3 = False
-    return c1, c2, c3
+def _classification():
+    return tally(classification_sweep(range(2, 7), (1, 2, 3), 8))
 
 
 def test_criterion_01_classification_equivalence(report):
-    report(1, "no-stuttering = Cali", _classification_sweep()[0])
+    report(1, "no-stuttering = Cali", _problem(_classification(), "no_stuttering=cali", 99985))
 
 
 def test_criterion_02_flotw_equivalence(report):
-    report(2, "crystal-reachable = FLOTW", _classification_sweep()[1])
+    report(2, "crystal-reachable = FLOTW", _problem(_classification(), "reachable=flotw", 99985))
 
 
 def test_criterion_03_crystal_preserves_cali(report):
-    report(3, "e-tilde preserves Cali", _classification_sweep()[2])
+    report(3, "e-tilde preserves Cali", _problem(_classification(), "e_tilde_keeps_cali", 7447))
 
 
 # -- criteria 4-6: seminormal sweep -----------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _seminormal_sweep():
-    """(relations_ok, positivity_a1_ok, negative_seen_a_gt_1, invariance_ok)."""
-    relations = invariance = positive = True
-    negative_seen = False
-    for e in range(2, 7):
-        coprime = [a for a in range(1, e) if gcd(a, e) == 1]
-        for n in range(1, 6):
-            for cls in enumerate_calibrated_classes(n, e):
-                for a in coprime:
-                    mod = seminormal_module(cls, e, a)
-                    if not all(verify_hecke_relations(mod).values()):
-                        relations = False
-                    if not all(verify_form_invariance(mod).values()):
-                        invariance = False
-                    signs = class_form_signs(cls, e, a)
-                    if a == 1 and any(s != 1 for s in signs.values()):
-                        positive = False
-                    if a > 1 and any(s == -1 for s in signs.values()):
-                        negative_seen = True
-    return relations, positive, negative_seen, invariance
+def _seminormal():
+    return tally(seminormal_sweep(range(2, 7), range(1, 6)))
 
 
 def test_criterion_04_hecke_relations(report):
-    report(4, "seminormal Hecke relations", _seminormal_sweep()[0])
+    report(4, "seminormal Hecke relations", _problem(_seminormal(), "hecke_relations", 1358))
 
 
 def test_criterion_05_unitary_at_a1(report):
-    relations, positive, negative_seen, _ = _seminormal_sweep()
+    t = _seminormal()
     report(5, "all signs +1 at a=1, negative exists at a>1",
-            positive and negative_seen)
+           _problem(t, "definite_a=1", 539) or _problem(t, "definite_a>1", 819, existential=True))
 
 
 def test_criterion_06_hermitian_invariance(report):
-    report(6, "invariant Hermitian form", _seminormal_sweep()[3])
+    report(6, "invariant Hermitian form", _problem(_seminormal(), "form_invariance", 1358))
 
 
-# -- criterion 7: alcove geometry -------------------------------------------
+# -- criteria 7, 9-12: alcove and BGG sweep ---------------------------------
+
+
+@lru_cache(maxsize=None)
+def _alcove():
+    return tally(alcove_sweep(range(2, 7), (1, 2), 8))
 
 
 def test_criterion_07_geometry_equivalence(report):
-    ok = True
-    for e in range(2, 7):
-        for ell in (1, 2):
-            for ch in _charges(e, ell):
-                for n in range(9):
-                    for mp in multipartitions_of(n, ell):
-                        hb = heights(mp)
-                        if sum(hb) >= e or not is_s_admissible(hb, ch):
-                            continue
-                        try:
-                            in_f = in_fundamental_alcove(mp, ch, hb)
-                        except ValueError:
-                            continue  # origin on a wall: frame outside the claim
-                        if in_f != is_cali(mp, ch):
-                            ok = False
-    report(7, "Cali = fundamental alcove", ok)
+    report(7, "Cali = fundamental alcove", _problem(_alcove(), "fundamental=cali", 2757))
 
 
 # -- criterion 8: degree identification -------------------------------------
 
 
 def test_criterion_08_degree_identification(report):
-    ok = True
+    checked = skipped = 0
+    failure = None
     for e in range(2, 7):
         for ell in (1, 2):
-            for ch in _charges(e, ell):
+            for ch in charges(e, ell):
                 for hbar in itertools.product(range(1, 4), repeat=ell):
                     if sum(hbar) >= e or not is_s_admissible(hbar, ch):
                         continue
@@ -190,92 +127,45 @@ def test_criterion_08_degree_identification(report):
                         for mp in multipartitions_of(n, ell):
                             if any(a > b for a, b in zip(heights(mp), hbar)):
                                 continue
-                            try:
-                                for t in standard_tableaux(mp):
+                            for t in standard_tableaux(mp):
+                                try:
                                     p = tableau_to_path(t, hbar)
-                                    if path_degree(p, ch, hbar) != tableau_degree(t, ch):
-                                        ok = False
-                            except ValueError:
-                                break  # invalid frame for this charge
-    report(8, "path degree = tableau degree", ok)
-
-
-# -- criteria 9-12: BGG sweep -----------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _bgg_sweep():
-    """(euler_ok, conv1_uniform, conv2_fails_somewhere, klr_ok, signs_ok)."""
-    euler_ok = conv1 = klr_ok = signs_ok = True
-    conv2_fail = False
-    for e in range(2, 7):
-        for ell in (1, 2):
-            for ch in _charges(e, ell):
-                for n in range(9):
-                    for la in multipartitions_of(n, ell):
-                        hb = heights(la)
-                        if sum(hb) >= e or not is_s_admissible(hb, ch):
-                            continue
-                        try:
-                            if not in_fundamental_alcove(la, ch, hb):
-                                continue
-                        except ValueError:
-                            continue
-                        if not euler_check(la, ch, hb)["ok"]:
-                            euler_ok = False
-                        conv = graded_character_identity(la, ch, hb)
-                        if not conv[1]:
-                            conv1 = False
-                        if not conv[2]:
-                            conv2_fail = True
-                        poset = block_poset(la, ch, hb)
-                        if sign_assignment(poset, covers(poset)) is None:
-                            signs_ok = False
-                        if e > 2:
-                            rep = verify_klr_relations(build_klr_module(la, ch, hb))
-                            if not all(rep.values()):
-                                klr_ok = False
-    return euler_ok, conv1, conv2_fail, klr_ok, signs_ok
+                                    same = path_degree(p, ch, hbar) == tableau_degree(t, ch)
+                                except ValueError:
+                                    skipped += 1  # invalid frame for this charge
+                                    continue
+                                checked += 1
+                                if not same and failure is None:
+                                    failure = f"e={e} s={ch.s} hbar={hbar} t={t}"
+    tallies = {"degree": Tally(checked, skipped, failure is not None, failure)}
+    report(8, "path degree = tableau degree", _problem(tallies, "degree", 26131))
 
 
 def test_criterion_09_euler_identity(report):
-    report(9, "BGG Euler identity", _bgg_sweep()[0])
+    report(9, "BGG Euler identity", _problem(_alcove(), "euler", 1464))
 
 
 def test_criterion_10_graded_character_identity(report):
-    euler_ok, conv1, conv2_fail, _, _ = _bgg_sweep()
+    t = _alcove()
     # exactly one shift convention closes the identity uniformly
-    report(10, "graded identity, shift t^len only", conv1 and conv2_fail)
+    report(10, "graded identity, shift t^len only",
+           _problem(t, "convention_1", 1464) or _problem(t, "convention_2", 1464, existential=True))
 
 
 def test_criterion_11_klr_relations(report):
-    report(11, "KLR relations on Path^F", _bgg_sweep()[3])
+    report(11, "KLR relations on Path^F", _problem(_alcove(), "klr_relations", 1429))
 
 
 def test_criterion_12_sign_solvability(report):
-    report(12, "diamond sign system feasible", _bgg_sweep()[4])
+    report(12, "diamond sign system feasible", _problem(_alcove(), "signs_feasible", 1464))
 
 
 # -- criterion 13: level-1 unitary loci -------------------------------------
 
 
 def test_criterion_13_level1_loci(report):
-    ok = True
-    for n in range(1, 9):
-        for la in partitions_of(n):
-            U = unitary_locus(la)
-            for e in range(2, 13):
-                for a in range(1, e):
-                    if gcd(a, e) != 1:
-                        continue
-                    c = Fraction(a if 2 * a <= e else a - e, e)
-                    if not -Fraction(1, 2) < c <= Fraction(1, 2):
-                        continue
-                    verdict = (is_calibrated_level1_crystal(la, e)
-                               and positivity_oracle(la, a, e))
-                    if U.contains(c) != verdict:
-                        ok = False
-    report(13, "closed-form locus = positivity oracle", ok)
+    report(13, "closed-form locus = positivity oracle",
+           _problem(tally(locus_sweep(range(1, 9), range(2, 13))), "locus=oracle", 2970))
 
 
 # -- criterion 14: dominance oracle -----------------------------------------
@@ -300,14 +190,15 @@ def _brute_force_dominates(mu, la, ch):
 
 
 def test_criterion_14_dominance_oracle(report):
-    ok = True
+    failure = None
     for e in (2, 3, 4):
         for ell in (1, 2, 3):
-            for ch in _charges(e, ell):
+            for ch in charges(e, ell):
                 for n in range(7):
                     mps = multipartitions_of(n, ell)
                     for mu in mps:
                         for la in mps:
-                            if dominates(mu, la, ch) != _brute_force_dominates(mu, la, ch):
-                                ok = False
-    report(14, "greedy dominance = bijection search", ok)
+                            if failure is None and (dominates(mu, la, ch)
+                                                    != _brute_force_dominates(mu, la, ch)):
+                                failure = f"first failing pair e={e} s={ch.s} mu={mu} la={la}"
+    report(14, "greedy dominance = bijection search", failure)

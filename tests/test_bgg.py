@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from calihecke.alcoves import (
@@ -25,9 +23,9 @@ from calihecke.multipartitions import (
     Charge,
     count_standard_tableaux,
     heights,
-    is_s_admissible,
     multipartitions_of,
 )
+from calihecke.sweeps import frames
 from oracles import alcove_filtered_basis, tableau_sum_character
 
 
@@ -153,30 +151,13 @@ def test_klr_r1_detects_duplicated_and_dropped_fibres(monkeypatch):
     assert not report["R1_sum"] and report["R1_orth"]
 
 
-def _fundamental_labels(n_max):
-    """(la, ch, hbar) over the criterion 9-11 range: e in 2..6, levels 1-2,
-    charges with s_1 = 0, n <= n_max, labels in the fundamental alcove."""
-    for e in range(2, 7):
-        for ell in (1, 2):
-            for rest in itertools.combinations_with_replacement(range(e), ell - 1):
-                ch = Charge((0,) + rest, e)
-                for n in range(n_max + 1):
-                    for la in multipartitions_of(n, ell):
-                        hb = heights(la)
-                        if sum(hb) >= e or not is_s_admissible(hb, ch):
-                            continue
-                        try:
-                            if not in_fundamental_alcove(la, ch, hb):
-                                continue
-                        except ValueError:
-                            continue
-                        yield la, ch, hb
-
-
 def test_prefix_shape_recursions_match_tableau_oracles():
     nodes = set()
     labels = 0
-    for la, ch, hb in _fundamental_labels(8):
+    # the criterion 9-11 range: every label in the fundamental alcove
+    for ch, la, hb in frames(range(2, 7), (1, 2), 8):
+        if not in_fundamental_alcove(la, ch, hb):
+            continue
         labels += 1
         nodes.update((mu, ch) for mu in block_poset(la, ch, hb).nodes)
         if ch.e > 2:

@@ -115,6 +115,14 @@ def test_bgg_rejects_non_fundamental(capsys):
     assert json.loads(err)["error"] == "NOT_FUNDAMENTAL"
 
 
+def test_bgg_rejects_non_integer_entries(capsys):
+    for value in ("[[1.5]]", "[[1.0]]", "[[true]]", '[["1"]]'):
+        code, out, err = run(capsys, "bgg", "--e", "3", "--charge", "0",
+                             "--multipartition", value)
+        assert code == 2 and out == "", value
+        assert json.loads(err)["error"] == "BAD_MULTIPARTITION"
+
+
 def test_locus_report(capsys):
     code, out, _ = run(capsys, "locus", "--partition", "2,1")
     assert code == 0
@@ -214,7 +222,8 @@ FLAG_VALUES = {
     "--n": ["x", "", "-1", "0", "2"],
     "--partition": ["x", "", ",", "0", "3,-1", "1,2", "1", "2,1"],
     "--multipartition": ["[[1e999]]", "[[1],", "", "3", "null", "{}", "[[\"a\"]]", "[[0]]",
-                         "[[1,2]]", "[]", "[[2,1]]", "[[1],[1]]", "[[1],[2]]"],
+                         "[[1.5]]", "[[1.0]]", "[[true]]", "[[\"1\"]]", "[[1,2]]", "[]",
+                         "[[2,1]]", "[[1],[1]]", "[[1],[2]]"],
     "--weight": ["x", "", "-1,3", "0,0", "0,1,2", "0,2"],
     "--format": ["xml", "", "json", "tsv"],
     "--jobs": ["x", "-1", "0", "1"],

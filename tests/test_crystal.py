@@ -1,17 +1,15 @@
-import itertools
-
 from hypothesis import given, settings, strategies as st
 
 from calihecke.crystal import (
     build_from_word,
     e_tilde,
     f_tilde,
-    i_word,
     is_no_stuttering,
     is_reachable,
     reachable_by_size,
     reduced_i_word,
 )
+from calihecke import sweeps
 from calihecke.calibration import is_cali, is_flotw
 from calihecke.multipartitions import Charge, multipartitions_of, mp_size, partitions_of
 
@@ -80,13 +78,13 @@ def test_flotw_equals_reachable_small():
                     assert is_reachable(mp, ch) == (mp in layer)
 
 
+def _small_classification():
+    """The classification sweep at e in {2, 3}, levels 1-2, n <= 6."""
+    return sweeps.tally(sweeps.classification_sweep((2, 3), (1, 2), 6))
+
+
 def test_no_stuttering_equals_cali_small():
-    for e in (2, 3):
-        for s2 in range(e):
-            ch = Charge((0, s2), e)
-            for n in range(6):
-                for mp in multipartitions_of(n, 2):
-                    assert is_no_stuttering(mp, ch) == is_cali(mp, ch)
+    assert _small_classification()["no_stuttering=cali"].failed == 0
 
 
 def test_large_example_reachable_but_stuttering():
@@ -102,13 +100,4 @@ def test_large_example_reachable_but_stuttering():
 
 
 def test_e_tilde_preserves_cali_small():
-    for e in (2, 3):
-        ch = Charge((0,), e)
-        for n in range(1, 7):
-            for mp in reachable_by_size(n, ch)[n]:
-                if not is_cali(mp, ch):
-                    continue
-                for i in range(e):
-                    down = e_tilde(mp, ch, i)
-                    if down is not None:
-                        assert is_cali(down, ch)
+    assert _small_classification()["e_tilde_keeps_cali"].failed == 0

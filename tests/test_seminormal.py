@@ -1,5 +1,4 @@
 import itertools
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +21,7 @@ from calihecke.seminormal import (
     verify_hecke_relations,
     weight_class,
 )
+from calihecke.sweeps import seminormal_modules
 from oracles import dense_form_invariance
 
 
@@ -161,15 +161,9 @@ def test_all_classes_satisfy_relations(e, n):
 def test_sparse_invariance_matches_dense_oracle():
     # the criterion-6 sweep: every calibrated class, e 2..6, n 1..5, coprime a
     checked = 0
-    for e in range(2, 7):
-        for n in range(1, 6):
-            for cls in enumerate_calibrated_classes(n, e):
-                for a in range(1, e):
-                    if gcd(a, e) != 1:
-                        continue
-                    mod = seminormal_module(cls, e, a)
-                    assert verify_form_invariance(mod) == dense_form_invariance(mod)
-                    checked += 1
+    for mod in seminormal_modules(range(2, 7), range(1, 6)):
+        assert verify_form_invariance(mod) == dense_form_invariance(mod)
+        checked += 1
     assert checked == 1358
 
 

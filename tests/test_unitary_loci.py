@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -19,6 +18,7 @@ from calihecke.unitary_loci import (
     unitary_locus,
 )
 from calihecke.multipartitions import count_standard_tableaux, partitions_of
+from calihecke.sweeps import holds, locus_sweep
 
 
 def test_hook_stats_known():
@@ -140,19 +140,8 @@ def test_oracle_respects_calibration():
 
 
 def test_closed_form_matches_oracle_small():
-    for n in range(2, 7):
-        for la in partitions_of(n):
-            U = unitary_locus(la)
-            for e in range(2, 9):
-                for a in range(1, e // 2 + 1):
-                    if gcd(a, e) != 1:
-                        continue
-                    c = Fraction(a, e)
-                    if not -Fraction(1, 2) < c <= Fraction(1, 2):
-                        continue
-                    assert U.contains(c) == oracle_locus_verdict(la, a, e), (la, a, e)
-                    if c != Fraction(1, 2):  # -1/2 falls outside the window
-                        assert U.contains(-c) == oracle_locus_verdict(la, -a % e, e), (la, a, e)
+    # n 2..6, e 2..8, every a coprime to e
+    assert holds(locus_sweep(range(2, 7), range(2, 9)))
 
 
 def test_locus_equality_with_other_types():
