@@ -256,13 +256,13 @@ def _locus_task(la):
 
 
 def _verify_locus(jobs):
+    tasks = [la for n in VERIFY_LOCUS_NS for la in partitions_of(n)]
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs == 1:
-        return sweeps.holds(VERIFY_SWEEPS["locus"]())
-    import multiprocessing
-    with multiprocessing.Pool(jobs) as pool:
-        tasks = [la for n in VERIFY_LOCUS_NS for la in partitions_of(n)]
-        return all(pool.map(_locus_task, tasks))
+    if jobs > 1:
+        import multiprocessing
+        with multiprocessing.Pool(jobs) as pool:
+            return all(pool.map(_locus_task, tasks))
+    return all(map(_locus_task, tasks))
 
 
 def cmd_verify(args):

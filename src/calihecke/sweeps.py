@@ -44,13 +44,13 @@ def charges(e, ell, pinned=True):
             if not pinned or s[0] == 0]
 
 
-def classification_sweep(es, levels, n_max, pinned=True):
+def classification_sweep(es, levels, n_max):
     """Criteria 1-3 on every multipartition of size <= n_max: no-stuttering
     = Cali, crystal-reachable (breadth-first from the empty multipartition)
     = FLOTW, and e-tilde keeps a Cali multipartition Cali."""
     for e in es:
         for ell in levels:
-            for ch in charges(e, ell, pinned):
+            for ch in charges(e, ell):
                 layers = reachable_by_size(n_max, ch)
                 for n in range(n_max + 1):
                     for mp in multipartitions_of(n, ell):

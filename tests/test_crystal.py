@@ -84,7 +84,9 @@ def _small_classification():
 
 
 def test_no_stuttering_equals_cali_small():
-    assert _small_classification()["no_stuttering=cali"].failed == 0
+    t = _small_classification()["no_stuttering=cali"]
+    assert t.checked >= 755
+    assert t.first_failure is None
 
 
 def test_large_example_reachable_but_stuttering():
@@ -100,4 +102,6 @@ def test_large_example_reachable_but_stuttering():
 
 
 def test_e_tilde_preserves_cali_small():
-    assert _small_classification()["e_tilde_keeps_cali"].failed == 0
+    t = _small_classification()["e_tilde_keeps_cali"]
+    assert t.checked >= 97
+    assert t.first_failure is None
