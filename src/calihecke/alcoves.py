@@ -9,14 +9,7 @@ eps_i - eps_j; the hyperplanes are <x, alpha> = r*e.  The standing
 assumption e > h is enforced on every entry point.
 """
 
-from functools import lru_cache
-
-from .multipartitions import (
-    heights,
-    remove_box,
-    removable_boxes,
-    tableau_boxes_by_entry,
-)
+from .multipartitions import tableau_boxes_by_entry, tableau_sums
 
 
 def _check_frame(ch, hbar):
@@ -168,22 +161,8 @@ def count_fundamental_paths(mp, ch, hbar):
     fundamental alcove."""
     if not in_fundamental_alcove(mp, ch, hbar):
         raise ValueError("shape not in the fundamental alcove")
-    memo = {}
-
-    def count(shape):
-        if shape in memo:
-            return memo[shape]
-        if not in_fundamental_alcove(shape, ch, hbar):
-            memo[shape] = 0
-            return 0
-        if all(not comp for comp in shape):
-            memo[shape] = 1
-            return 1
-        total = sum(count(remove_box(shape, b)) for b in removable_boxes(shape))
-        memo[shape] = total
-        return total
-
-    return count(mp)
+    paths = tableau_sums(keep=lambda shape: in_fundamental_alcove(shape, ch, hbar))
+    return paths(mp).get(0, 0)
 
 
 def b_alpha(i, ch, hbar):

@@ -16,9 +16,7 @@ from .alcoves import (
     path_residues,
 )
 from .multipartitions import (
-    count_standard_tableaux,
     mp_size,
-    remove_box,
     residue_multiset,
     standard_tableaux,
     tableau_boxes_by_entry,
@@ -27,6 +25,7 @@ from .multipartitions import (
     dominates,
     multipartitions_of,
     heights,
+    tableau_sums,
     _step_degrees,
 )
 
@@ -194,31 +193,15 @@ def graded_specht_character(mu, ch):
 
     A tableau's degree is the sum of its step degrees d(shape, box), so
     char(mu) = sum over removable b of t^d(mu, b) char(mu - b), with
-    char(empty) = 1; each prefix shape is visited once.
+    char(empty) = 1: the fold tableau_sums with steps d(., ch).
     """
-    memo = {}
-
-    def char(shape):
-        out = memo.get(shape)
-        if out is not None:
-            return out
-        if any(shape):
-            out = {}
-            for b, d in _step_degrees(shape, ch).items():
-                for k, x in char(remove_box(shape, b)).items():
-                    out[k + d] = out.get(k + d, 0) + x
-        else:
-            out = {0: 1}
-        memo[shape] = out
-        return out
-
-    return char(mu)
+    return tableau_sums(steps=lambda shape: _step_degrees(shape, ch))(mu)
 
 
 def euler_check(la, ch, hbar):
     poset = block_poset(la, ch, hbar)
-    lhs = sum((-1) ** poset.lengths[mu] * count_standard_tableaux(mu)
-              for mu in poset.nodes)
+    count = tableau_sums()
+    lhs = sum((-1) ** poset.lengths[mu] * count(mu)[0] for mu in poset.nodes)
     rhs = count_fundamental_paths(la, ch, hbar)
     return {"alternating_sum": lhs, "fundamental_paths": rhs, "ok": lhs == rhs}
 
@@ -228,7 +211,8 @@ def graded_character_identity(la, ch, hbar):
     the shift conventions c = 1 and c = 2; report which hold."""
     poset = block_poset(la, ch, hbar)
     rhs = count_fundamental_paths(la, ch, hbar)
-    chars = {mu: graded_specht_character(mu, ch) for mu in poset.nodes}
+    char = tableau_sums(steps=lambda shape: _step_degrees(shape, ch))
+    chars = {mu: char(mu) for mu in poset.nodes}
     report = {}
     for c in (1, 2):
         total = {}
@@ -255,8 +239,10 @@ class KLRModule:
             raise ValueError("label must lie in the fundamental alcove")
         self.ch, self.hbar = ch, hbar
         self.n = mp_size(la)
-        self.basis = sorted(standard_tableaux(
-            la, keep=lambda shape: in_fundamental_alcove(shape, ch, hbar)))
+        # the walk keeps a prefix shape when some alcove path reaches it; the
+        # fold tests each prefix shape against the alcove once
+        paths = tableau_sums(keep=lambda shape: in_fundamental_alcove(shape, ch, hbar))
+        self.basis = sorted(standard_tableaux(la, keep=paths))
         self.index = {t: k for k, t in enumerate(self.basis)}
         self.residues = [path_residues(tableau_to_path(t, hbar), ch, hbar)
                          for t in self.basis]

@@ -10,11 +10,11 @@ error.
 import argparse
 import json
 import os
+import re
 import sys
 from math import gcd
 
 from .multipartitions import (
-    count_standard_tableaux,
     heights,
     is_cylindrical_charge,
     is_multipartition,
@@ -22,6 +22,7 @@ from .multipartitions import (
     is_s_admissible,
     make_charge,
     partitions_of,
+    tableau_sums,
 )
 from .calibration import is_cali, is_flotw
 from .crystal import reachable_by_size
@@ -64,15 +65,20 @@ def _die_usage(code, message):
     sys.exit(2)
 
 
+def _parse_ints(text, code, what):
+    """Comma-separated -?[0-9]+ tokens as a tuple; anything else (int()
+    would also take underscores, padding and a plus sign) exits with code."""
+    if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", text):
+        _die_usage(code, f"{what} must be comma-separated integers")
+    return tuple(int(x) for x in text.split(","))
+
+
 def _parse_charge(args, required=True):
     if args.charge is None:
         if required:
             _die_usage("MISSING_CHARGE", "--charge is required")
         return None
-    try:
-        s = tuple(int(x) for x in args.charge.split(","))
-    except ValueError:
-        _die_usage("BAD_CHARGE", "charge must be comma-separated integers")
+    s = _parse_ints(args.charge, "BAD_CHARGE", "charge")
     try:
         ch = make_charge(s, args.e, args.a)
     except ValueError as ex:
@@ -104,11 +110,8 @@ def _parse_multipartition(args):
 def _parse_partition(args):
     if args.partition is None:
         return None
-    try:
-        la = tuple(int(x) for x in args.partition.split(","))
-    except ValueError:
-        _die_usage("BAD_PARTITION", "partition must be comma-separated integers")
-    if not la or not is_partition(la):
+    la = _parse_ints(args.partition, "BAD_PARTITION", "partition")
+    if not is_partition(la):
         _die_usage("BAD_PARTITION", "need a nonempty weakly decreasing tuple")
     return la
 
@@ -135,6 +138,7 @@ def cmd_classify(args):
     if args.n < 0:
         _die_usage("BAD_PARAMETERS", "need n >= 0")
     rows = []
+    count = tableau_sums()  # one fold: the rows share their prefix shapes
     for mp in sorted(reachable_by_size(args.n, ch)[args.n]):
         hb = heights(mp)
         geom_ok = (sum(hb) < ch.e and is_s_admissible(hb, ch))
@@ -151,7 +155,7 @@ def cmd_classify(args):
             "flotw": is_flotw(mp, ch),
             "cali": is_cali(mp, ch),
             "alcove_length": alen,
-            "standard_tableaux": count_standard_tableaux(mp),
+            "standard_tableaux": count(mp)[0],
             "fundamental_paths": paths,
         })
     _emit({"rows": rows}, args.format, "rows",
@@ -162,10 +166,7 @@ def cmd_classify(args):
 
 def cmd_seminormal(args):
     if args.weight is not None:
-        try:
-            m = tuple(int(x) for x in args.weight.split(","))
-        except ValueError:
-            _die_usage("BAD_WEIGHT", "weight must be comma-separated integers")
+        m = _parse_ints(args.weight, "BAD_WEIGHT", "weight")
     else:
         la = _parse_partition(args)
         if la is None:

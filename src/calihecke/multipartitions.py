@@ -8,7 +8,6 @@ component and a quantum characteristic e; the charged content of a box
 (r, c, m) is s_m + c - r and its residue is that value mod e.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -24,7 +23,9 @@ class Charge(NamedTuple):
 
 def make_charge(s, e, a=1):
     from math import gcd
-    s = tuple(int(x) for x in s)
+    s = tuple(s)
+    if any(type(x) is not int for x in s):
+        raise ValueError("charge entries must be integers")
     if e < 2:
         raise ValueError("quantum characteristic e must be >= 2")
     if gcd(a, e) != 1:
@@ -39,7 +40,7 @@ def is_cylindrical_charge(ch):
 
 
 def is_partition(p):
-    return all(isinstance(x, int) and x > 0 for x in p) and all(
+    return all(type(x) is int and x > 0 for x in p) and all(
         p[i] >= p[i + 1] for i in range(len(p) - 1)
     )
 
@@ -148,30 +149,23 @@ def removable_boxes(mp, ch=None, i=None):
     return out
 
 
+def _slack(hbar, ch):
+    """bound_m - h_m for each m, where bound_1 = e + s_1 - s_ell and
+    bound_m = s_m - s_{m-1} for m > 1."""
+    s, e = ch.s, ch.e
+    return [(e + s[0] - s[-1] if m == 1 else s[m - 1] - s[m - 2]) - hbar[m - 1]
+            for m in range(1, len(hbar) + 1)]
+
+
 def is_s_admissible(hbar, ch):
-    ok, strict = _admissibility(hbar, ch)
-    return ok and strict
+    """h_m <= bound_m for every m, strictly for at least one."""
+    slack = _slack(hbar, ch)
+    return all(x >= 0 for x in slack) and any(x > 0 for x in slack)
 
 
 def step_changes(hbar, ch):
     """Indices m where the admissibility inequality is strict."""
-    s, e = ch.s, ch.e
-    out = []
-    for m in range(1, len(hbar) + 1):
-        bound = e + s[0] - s[-1] if m == 1 else s[m - 1] - s[m - 2]
-        if hbar[m - 1] < bound:
-            out.append(m)
-    return out
-
-
-def _admissibility(hbar, ch):
-    s, e = ch.s, ch.e
-    ok = True
-    for m in range(1, len(hbar) + 1):
-        bound = e + s[0] - s[-1] if m == 1 else s[m - 1] - s[m - 2]
-        if hbar[m - 1] > bound:
-            ok = False
-    return ok, bool(step_changes(hbar, ch))
+    return [m for m, x in enumerate(_slack(hbar, ch), start=1) if x > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +245,43 @@ def standard_tableaux(mp, keep=None):
     yield from rec(tuple(() for _ in mp))
 
 
-@lru_cache(maxsize=None)
+def tableau_sums(steps=None, keep=None):
+    """The fold over prefix shapes behind every sum over standard tableaux.
+
+    Returns F: shape -> {degree: count}, the number of standard tableaux of
+    the shape by degree, where a tableau's degree is the sum of its step
+    degrees: F(empty) = {0: 1} and F(shape) = sum over removable b of
+    t^steps(shape)[b] F(shape - b).  Without steps every step has degree 0.
+    With a predicate keep(shape), F(shape) = {} when it fails, so only the
+    tableaux all of whose prefix shapes satisfy keep are counted.  F memoises
+    every prefix shape it meets for as long as F lives, so one F evaluated
+    at shapes that share sub-shapes visits (and tests with keep) each once.
+    """
+    if steps is None:
+        steps = lambda shape: dict.fromkeys(removable_boxes(shape), 0)
+    memo = {}
+
+    def fold(shape):
+        out = memo.get(shape)
+        if out is not None:
+            return out
+        if keep is not None and not keep(shape):
+            out = {}
+        elif any(shape):
+            out = {}
+            for b, d in steps(shape).items():
+                for k, x in fold(remove_box(shape, b)).items():
+                    out[k + d] = out.get(k + d, 0) + x
+        else:
+            out = {0: 1}
+        memo[shape] = out
+        return out
+
+    return fold
+
+
 def count_standard_tableaux(mp):
-    if mp_size(mp) == 0:
-        return 1
-    return sum(count_standard_tableaux(remove_box(mp, b)) for b in removable_boxes(mp))
+    return tableau_sums()(mp)[0]
 
 
 def reverse_column_reading_tableau(mp, m=1):

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from calihecke import bgg
 from calihecke.alcoves import (
     count_fundamental_paths,
     in_fundamental_alcove,
@@ -110,6 +113,22 @@ def test_klr_module_basics():
     assert mod.dim() == count_fundamental_paths(LA, CH, HBAR) == 1
     report = verify_klr_relations(mod)
     assert all(report.values()), report
+
+
+def test_klr_basis_tests_each_prefix_shape_once(monkeypatch):
+    la, ch, hbar = ((3, 1), (2,)), Charge((0, 3), 6), (2, 1)
+    tested = Counter()
+    real = bgg.in_fundamental_alcove
+
+    def counting(mp, *frame):
+        tested[mp] += 1
+        return real(mp, *frame)
+
+    monkeypatch.setattr(bgg, "in_fundamental_alcove", counting)
+    mod = build_klr_module(la, ch, hbar)
+    assert mod.dim() == 22
+    tested[la] -= 1  # the label's own entry check
+    assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
 
 
 def test_klr_rejects_e2():

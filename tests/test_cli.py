@@ -3,6 +3,8 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,20 @@ def test_bgg_rejects_non_integer_entries(capsys):
         assert json.loads(err)["error"] == "BAD_MULTIPARTITION"
 
 
+# int() accepts underscores, padding and a plus sign; the integer-list flags
+# take only comma-separated -?[0-9]+ tokens
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "--e", "3", "--n", "1", "--charge"], "BAD_CHARGE"),
+    (["locus", "--partition"], "BAD_PARTITION"),
+    (["seminormal", "--e", "5", "--weight"], "BAD_WEIGHT"),
+])
+def test_integer_lists_are_strict(capsys, argv, code):
+    for value in ("1_0", " 0, 1", "+1", "1,0 ", "0,\u0661"):
+        rc, out, err = run(capsys, *argv, value)
+        assert rc == 2 and out == "", value
+        assert json.loads(err)["error"] == code, value
+
+
 def test_locus_report(capsys):
     code, out, _ = run(capsys, "locus", "--partition", "2,1")
     assert code == 0
@@ -218,13 +234,14 @@ VALID = {
 FLAG_VALUES = {
     "--e": ["x", "", "2.5", "-3", "0", "1", "2", "3", "5"],
     "--a": ["x", "0", "-1", "1", "2"],
-    "--charge": ["x", "", ",", "0,,1", "1,0", "0,4", "0,0", "-1", "0", "0,1"],
+    "--charge": ["x", "", ",", "0,,1", "1_0", " 1", "+1", "1,0", "0,4", "0,0", "-1", "0",
+                 "0,1"],
     "--n": ["x", "", "-1", "0", "2"],
-    "--partition": ["x", "", ",", "0", "3,-1", "1,2", "1", "2,1"],
+    "--partition": ["x", "", ",", "0", "1_0", " 1", "+1", "3,-1", "1,2", "1", "2,1"],
     "--multipartition": ["[[1e999]]", "[[1],", "", "3", "null", "{}", "[[\"a\"]]", "[[0]]",
                          "[[1.5]]", "[[1.0]]", "[[true]]", "[[\"1\"]]", "[[1,2]]", "[]",
                          "[[2,1]]", "[[1],[1]]", "[[1],[2]]"],
-    "--weight": ["x", "", "-1,3", "0,0", "0,1,2", "0,2"],
+    "--weight": ["x", "", "1_0", " 1", "+1", "-1,3", "0,0", "0,1,2", "0,2"],
     "--format": ["xml", "", "json", "tsv"],
     "--jobs": ["x", "-1", "0", "1"],
 }
@@ -264,3 +281,28 @@ def test_cli_contract_on_malformed_arguments(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert "error" in json.loads(err.getvalue().strip().splitlines()[-1]), argv
+
+
+STDLIB_ONLY = """
+import importlib, io, json, pkgutil, sys
+from contextlib import redirect_stdout
+import calihecke
+from calihecke import cli
+for info in pkgutil.iter_modules(calihecke.__path__):
+    importlib.import_module("calihecke." + info.name)
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "classification"])
+tops = {name.split(".")[0] for name in sys.modules} - {"__main__", "calihecke"}
+print(json.dumps({"code": code, "foreign": sorted(tops - sys.stdlib_module_names)}))
+"""
+
+
+def test_package_loads_only_the_standard_library():
+    # -S leaves site-packages off the path and site hooks (editable-install
+    # finders, .pth imports) out of sys.modules: a third-party import fails,
+    # and every module left was loaded by calihecke or by Python itself
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", STDLIB_ONLY], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "foreign": []}

@@ -14,6 +14,7 @@ from calihecke.multipartitions import (
     dominates,
     heights,
     is_cylindrical_charge,
+    is_multipartition,
     is_partition,
     is_s_admissible,
     make_charge,
@@ -74,6 +75,10 @@ def test_charge_validation():
         make_charge((0,), 1)
     with pytest.raises(ValueError):
         make_charge((0,), 4, a=2)
+    # int() would truncate 1.7 and read True as 1
+    for s in ((True, 1), (0, 1.7), ("0",)):
+        with pytest.raises(ValueError):
+            make_charge(s, 5)
     assert is_cylindrical_charge(Charge((0, 1, 4), 7))
     assert not is_cylindrical_charge(Charge((0, 1, 7), 7))
     assert not is_cylindrical_charge(Charge((1, 0), 7))
@@ -146,6 +151,14 @@ def test_column_reading_degree_zero_at_step_change():
     assert tableau_degree(t, ch) == 0
 
 
+def test_admissibility_bounds():
+    # bounds (e + s_1 - s_3, s_2 - s_1, s_3 - s_2) = (3, 3, 1)
+    ch = Charge((0, 3, 4), 7)
+    assert is_s_admissible((3, 2, 1), ch) and step_changes((3, 2, 1), ch) == [2]
+    assert not is_s_admissible((3, 3, 1), ch) and step_changes((3, 3, 1), ch) == []
+    assert not is_s_admissible((4, 0, 0), ch) and step_changes((4, 0, 0), ch) == [2, 3]
+
+
 def test_standard_tableaux_counts():
     # hook length formula values
     table = {
@@ -214,3 +227,9 @@ def test_dominance_greedy_equals_brute_force(d1, d2):
 @settings(max_examples=50, deadline=None)
 def test_partition_strategy_valid(p):
     assert is_partition(p)
+
+
+def test_partition_parts_are_ints():
+    for p in ((True,), (2, True), (2.0, 1), ("1",)):
+        assert not is_partition(p), p
+        assert not is_multipartition((p,)), p
