@@ -1,13 +1,16 @@
 """Block posets of fundamental-alcove points, Carter-Payne covers,
 diamond/strand structure with a GF(2) sign system, graded characters, the
 Euler identity, and the explicit KLR action on the calibrated simple.
+The free functions of one label read one cached Block: its poset and its
+folds over prefix shapes are built once.
 
 Graded characters are Laurent polynomials in t stored as dicts
 degree -> coefficient.
 """
 
+from functools import lru_cache
+
 from .alcoves import (
-    count_fundamental_paths,
     embed,
     in_fundamental_alcove,
     point_length,
@@ -89,8 +92,36 @@ class BlockPoset:
         self.nodes = sorted(points, key=lambda mp: (self.lengths[mp], mp))
 
 
+class Block:
+    """What the BGG checks read about one label lambda, built once.
+
+    - poset: the BlockPoset of lambda, whose construction is the one check
+      that lambda lies in the fundamental alcove;
+    - paths: the fold over prefix shapes that keeps the shapes in the
+      fundamental alcove, so n_paths = |Path^F(lambda)| and the KLR basis
+      walk tests each prefix shape against the alcove once;
+    - count, char: the ungraded and the graded fold, shared by every node
+      of the poset.
+    """
+
+    def __init__(self, la, ch, hbar):
+        self.poset = BlockPoset(la, ch, hbar)
+        self.paths = tableau_sums(keep=lambda shape: in_fundamental_alcove(shape, ch, hbar))
+        self.n_paths = self.paths(la).get(0, 0)
+        self.count = tableau_sums()
+        self.char = tableau_sums(steps=lambda shape: _step_degrees(shape, ch))
+
+
+@lru_cache(maxsize=1)
+def block(la, ch, hbar):
+    """The Block of one label, shared by its callers.  One entry: the BGG
+    command and sweeps call the free functions below one after another on
+    the same label."""
+    return Block(la, ch, hbar)
+
+
 def block_poset(la, ch, hbar, cross_validate=False):
-    poset = BlockPoset(la, ch, hbar)
+    poset = block(la, ch, hbar).poset
     if cross_validate:
         expected = dominance_block(la, ch, hbar)
         if sorted(poset.nodes) != expected:
@@ -154,38 +185,42 @@ def diamonds_and_strands(poset, edges=None):
 
 def sign_assignment(poset, edges=None):
     """Edge signs with product -1 around every diamond, by GF(2) elimination
-    (sign -1 <-> bit 1).  Returns a map edge -> +-1, or None if infeasible."""
+    (sign -1 <-> bit 1).  Returns a map edge -> +-1, or None if infeasible.
+
+    A row is one int: bit k for edge k, bit len(edges) for the right-hand
+    side, so eliminating is one XOR of whole rows.  Column by column, the
+    pivot is the first row that is not yet a pivot and has the column's bit.
+    """
     if edges is None:
         edges = covers(poset)
     diamonds, _ = diamonds_and_strands(poset, edges)
     index = {edge: k for k, edge in enumerate(edges)}
+    rhs = 1 << len(edges)
     rows = []
     for w, y1, y2, z in diamonds:
-        row = [0] * (len(edges) + 1)
+        row = rhs
         for edge in ((w, y1), (y1, z), (w, y2), (y2, z)):
-            row[index[edge]] ^= 1
-        row[-1] = 1
+            row ^= 1 << index[edge]
         rows.append(row)
-    # Gaussian elimination over GF(2)
-    pivots = []
+    # Gauss-Jordan elimination over GF(2)
+    free = list(range(len(rows)))  # rows that are not pivots, in order
     for col in range(len(edges)):
-        pivot = next((r for r in rows if r[col] == 1 and
-                      all(r[c] == 0 for c in pivots)), None)
-        if pivot is None:
+        bit = 1 << col
+        p = next((k for k in free if rows[k] & bit), None)
+        if p is None:
             continue
-        pivots.append(col)
-        for r in rows:
-            if r is not pivot and r[col] == 1:
-                for c in range(len(edges) + 1):
-                    r[c] ^= pivot[c]
-    if any(all(x == 0 for x in r[:-1]) and r[-1] == 1 for r in rows):
+        free.remove(p)
+        pivot = rows[p]
+        for k, r in enumerate(rows):
+            if r & bit and k != p:
+                rows[k] = r ^ pivot
+    if rhs in rows:  # 0 = 1
         return None
-    bits = [0] * len(edges)
+    bits = 0
     for r in rows:
-        cols = [c for c in range(len(edges)) if r[c] == 1]
-        if cols and r[-1] == 1:
-            bits[cols[0]] = 1
-    return {edge: (-1 if bits[k] else 1) for edge, k in index.items()}
+        if r & rhs and r != rhs:
+            bits |= r & -r  # the row's first edge
+    return {edge: (-1 if bits >> k & 1 else 1) for edge, k in index.items()}
 
 
 def graded_specht_character(mu, ch):
@@ -199,20 +234,19 @@ def graded_specht_character(mu, ch):
 
 
 def euler_check(la, ch, hbar):
-    poset = block_poset(la, ch, hbar)
-    count = tableau_sums()
-    lhs = sum((-1) ** poset.lengths[mu] * count(mu)[0] for mu in poset.nodes)
-    rhs = count_fundamental_paths(la, ch, hbar)
+    blk = block(la, ch, hbar)
+    poset = blk.poset
+    lhs = sum((-1) ** poset.lengths[mu] * blk.count(mu)[0] for mu in poset.nodes)
+    rhs = blk.n_paths
     return {"alternating_sum": lhs, "fundamental_paths": rhs, "ok": lhs == rhs}
 
 
 def graded_character_identity(la, ch, hbar):
     """Test sum over mu of (-1)^len t^(c*len) grchar(mu) = |Path^F| t^0 for
     the shift conventions c = 1 and c = 2; report which hold."""
-    poset = block_poset(la, ch, hbar)
-    rhs = count_fundamental_paths(la, ch, hbar)
-    char = tableau_sums(steps=lambda shape: _step_degrees(shape, ch))
-    chars = {mu: char(mu) for mu in poset.nodes}
+    blk = block(la, ch, hbar)
+    poset, rhs = blk.poset, blk.n_paths
+    chars = {mu: blk.char(mu) for mu in poset.nodes}
     report = {}
     for c in (1, 2):
         total = {}
@@ -235,14 +269,11 @@ class KLRModule:
     def __init__(self, la, ch, hbar):
         if ch.e <= 2:
             raise ValueError("quiver Hecke relations require e > 2")
-        if not in_fundamental_alcove(la, ch, hbar):
-            raise ValueError("label must lie in the fundamental alcove")
         self.ch, self.hbar = ch, hbar
         self.n = mp_size(la)
         # the walk keeps a prefix shape when some alcove path reaches it; the
-        # fold tests each prefix shape against the alcove once
-        paths = tableau_sums(keep=lambda shape: in_fundamental_alcove(shape, ch, hbar))
-        self.basis = sorted(standard_tableaux(la, keep=paths))
+        # block's alcove fold tests each prefix shape once
+        self.basis = sorted(standard_tableaux(la, keep=block(la, ch, hbar).paths))
         self.index = {t: k for k, t in enumerate(self.basis)}
         self.residues = [path_residues(tableau_to_path(t, hbar), ch, hbar)
                          for t in self.basis]

@@ -117,18 +117,25 @@ def _parse_partition(args):
 
 
 def _emit(payload, fmt, table_key=None, columns=None):
-    if fmt == "json":
-        json.dump(payload, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        rows = payload[table_key] if table_key else [payload]
-        if columns is None:
-            columns = sorted(rows[0]) if rows else []
-        sys.stdout.write("\t".join(columns) + "\n")
-        for row in rows:
-            sys.stdout.write("\t".join(json.dumps(row[c], sort_keys=True)
-                                       if not isinstance(row[c], str) else row[c]
-                                       for c in columns) + "\n")
+    try:
+        if fmt == "json":
+            json.dump(payload, sys.stdout, sort_keys=True)
+            sys.stdout.write("\n")
+        else:
+            rows = payload[table_key] if table_key else [payload]
+            if columns is None:
+                columns = sorted(rows[0]) if rows else []
+            sys.stdout.write("\t".join(columns) + "\n")
+            for row in rows:
+                sys.stdout.write("\t".join(json.dumps(row[c], sort_keys=True)
+                                           if not isinstance(row[c], str) else row[c]
+                                           for c in columns) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point stdout at devnull so the
+        # flush at exit cannot fail again, and exit with the command's verdict
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
 
 
 def cmd_classify(args):

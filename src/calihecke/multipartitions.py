@@ -24,6 +24,8 @@ class Charge(NamedTuple):
 def make_charge(s, e, a=1):
     from math import gcd
     s = tuple(s)
+    if not s:
+        raise ValueError("charge must have at least one entry")
     if any(type(x) is not int for x in s):
         raise ValueError("charge entries must be integers")
     if e < 2:

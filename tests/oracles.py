@@ -9,11 +9,14 @@ compares every entry of G M with every entry of (M^{-1})^dagger G.
 standard tableau of t^degree; ``alcove_filtered_basis`` is the original KLR
 basis, every standard tableau filtered by rebuilding each prefix shape from
 its boxes and testing it against the fundamental alcove.
+``sign_assignment_lists`` is the original diamond sign solver, GF(2)
+elimination on rows stored as lists of 0/1 entries.
 """
 
 from fractions import Fraction
 
 from calihecke.alcoves import in_fundamental_alcove
+from calihecke.bgg import covers, diamonds_and_strands
 from calihecke.cyclotomics import Cyc, cyclotomic_polynomial
 from calihecke.multipartitions import (
     mp_size,
@@ -178,3 +181,38 @@ def alcove_filtered_basis(la, ch, hbar):
                for k in range(n + 1)):
             out.append(t)
     return sorted(out)
+
+
+def sign_assignment_lists(poset, edges=None):
+    """Edge signs with product -1 around every diamond (sign -1 <-> bit 1),
+    or None if infeasible, by elimination on lists of 0/1 entries."""
+    if edges is None:
+        edges = covers(poset)
+    diamonds, _ = diamonds_and_strands(poset, edges)
+    index = {edge: k for k, edge in enumerate(edges)}
+    rows = []
+    for w, y1, y2, z in diamonds:
+        row = [0] * (len(edges) + 1)
+        for edge in ((w, y1), (y1, z), (w, y2), (y2, z)):
+            row[index[edge]] ^= 1
+        row[-1] = 1
+        rows.append(row)
+    pivots = []
+    for col in range(len(edges)):
+        pivot = next((r for r in rows if r[col] == 1 and
+                      all(r[c] == 0 for c in pivots)), None)
+        if pivot is None:
+            continue
+        pivots.append(col)
+        for r in rows:
+            if r is not pivot and r[col] == 1:
+                for c in range(len(edges) + 1):
+                    r[c] ^= pivot[c]
+    if any(all(x == 0 for x in r[:-1]) and r[-1] == 1 for r in rows):
+        return None
+    bits = [0] * len(edges)
+    for r in rows:
+        cols = [c for c in range(len(edges)) if r[c] == 1]
+        if cols and r[-1] == 1:
+            bits[cols[0]] = 1
+    return {edge: (-1 if bits[k] else 1) for edge, k in index.items()}

@@ -29,7 +29,7 @@ from calihecke.multipartitions import (
     multipartitions_of,
 )
 from calihecke.sweeps import frames
-from oracles import alcove_filtered_basis, tableau_sum_character
+from oracles import alcove_filtered_basis, sign_assignment_lists, tableau_sum_character
 
 
 def test_level_one_block_21():
@@ -83,6 +83,42 @@ def test_sign_assignment_flips_each_diamond():
         assert signs[(w, y1)] * signs[(y1, z)] * signs[(w, y2)] * signs[(y2, z)] == -1
 
 
+def test_bitmask_signs_match_list_oracle():
+    labels = diamonds = 0
+    for ch, la, hb in frames(range(2, 7), (1, 2), 8):
+        if not in_fundamental_alcove(la, ch, hb):
+            continue
+        labels += 1
+        poset = block_poset(la, ch, hb)
+        edges = covers(poset)
+        signs = sign_assignment(poset, edges)
+        assert signs == sign_assignment_lists(poset, edges), (la, ch)
+        if signs is None:
+            continue
+        for w, y1, y2, z in diamonds_and_strands(poset, edges)[0]:
+            diamonds += 1
+            assert signs[(w, y1)] * signs[(y1, z)] * signs[(w, y2)] * signs[(y2, z)] == -1
+    assert labels == 1464
+    assert diamonds > 0
+
+
+def test_sign_assignment_detects_an_odd_cycle_of_diamonds(monkeypatch):
+    # three diamonds that cover each of six edges twice: their rows add up
+    # to 0 = 1, so there is no sign system (a block poset never has them:
+    # they make one interval with three midpoints); two of them have one
+    import oracles
+
+    edges = [("w", "a"), ("w", "b"), ("w", "c"), ("a", "z"), ("b", "z"), ("c", "z")]
+    cycle = [("w", "a", "b", "z"), ("w", "b", "c", "z"), ("w", "c", "a", "z")]
+    for diamonds, feasible in ((cycle, False), (cycle[:2], True)):
+        for module in (bgg, oracles):
+            monkeypatch.setattr(module, "diamonds_and_strands",
+                                lambda poset, edges: (diamonds, []))
+        signs = sign_assignment(None, edges)
+        assert signs == sign_assignment_lists(None, edges)
+        assert (signs is not None) == feasible
+
+
 def test_sign_assignment_trivial_without_diamonds():
     poset = block_poset(((2, 1),), Charge((0,), 3), (2,))
     signs = sign_assignment(poset)
@@ -125,8 +161,37 @@ def test_klr_basis_tests_each_prefix_shape_once(monkeypatch):
         return real(mp, *frame)
 
     monkeypatch.setattr(bgg, "in_fundamental_alcove", counting)
+    bgg.block.cache_clear()
     mod = build_klr_module(la, ch, hbar)
     assert mod.dim() == 22
+    tested[la] -= 1  # the label's own entry check
+    assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
+
+
+def test_block_is_built_once_per_label(monkeypatch):
+    la, ch, hbar = ((3, 1), (2,)), Charge((0, 3), 6), (2, 1)
+    posets = []
+    tested = Counter()
+    real_poset, real_alcove = bgg.BlockPoset, bgg.in_fundamental_alcove
+
+    def counting_poset(*args):
+        posets.append(args)
+        return real_poset(*args)
+
+    def counting_alcove(mp, *frame):
+        tested[mp] += 1
+        return real_alcove(mp, *frame)
+
+    monkeypatch.setattr(bgg, "BlockPoset", counting_poset)
+    monkeypatch.setattr(bgg, "in_fundamental_alcove", counting_alcove)
+    bgg.block.cache_clear()
+    euler = euler_check(la, ch, hbar)
+    conventions = graded_character_identity(la, ch, hbar)
+    poset = block_poset(la, ch, hbar)
+    mod = build_klr_module(la, ch, hbar)
+    assert euler["ok"] and conventions[1]
+    assert mod.dim() == euler["fundamental_paths"] == 22
+    assert len(posets) == 1 and poset.nodes[0] == la
     tested[la] -= 1  # the label's own entry check
     assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
 

@@ -306,3 +306,21 @@ def test_package_loads_only_the_standard_library():
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"code": 0, "foreign": []}
+
+
+def test_closed_stdout_exits_with_the_verdict():
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails with EPIPE
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for argv in (["bgg", "--e", "4", "--charge", "0,1", "--multipartition", "[[1,1],[2]]"],
+                 ["locus", "--partition", "3,2", "--format", "tsv"]):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "calihecke.cli", *argv], stdout=w,
+                                  stderr=subprocess.PIPE, text=True,
+                                  env=dict(os.environ, PYTHONPATH=src), timeout=300)
+        finally:
+            os.close(w)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv

@@ -79,6 +79,9 @@ def test_charge_validation():
     for s in ((True, 1), (0, 1.7), ("0",)):
         with pytest.raises(ValueError):
             make_charge(s, 5)
+    # level 0: is_cylindrical_charge would index s[-1]
+    with pytest.raises(ValueError):
+        make_charge((), 3)
     assert is_cylindrical_charge(Charge((0, 1, 4), 7))
     assert not is_cylindrical_charge(Charge((0, 1, 7), 7))
     assert not is_cylindrical_charge(Charge((1, 0), 7))
