@@ -22,9 +22,6 @@ from .multipartitions import (
     mp_size,
     residue_multiset,
     standard_tableaux,
-    tableau_boxes_by_entry,
-    tableau_from_box_order,
-    tableau_shape,
     dominates,
     multipartitions_of,
     heights,
@@ -274,9 +271,9 @@ class KLRModule:
         # the walk keeps a prefix shape when some alcove path reaches it; the
         # block's alcove fold tests each prefix shape once
         self.basis = sorted(standard_tableaux(la, keep=block(la, ch, hbar).paths))
-        self.index = {t: k for k, t in enumerate(self.basis)}
-        self.residues = [path_residues(tableau_to_path(t, hbar), ch, hbar)
-                         for t in self.basis]
+        self.paths = [tableau_to_path(t, hbar) for t in self.basis]
+        self.index = {p: k for k, p in enumerate(self.paths)}
+        self.residues = [path_residues(p, ch, hbar) for p in self.paths]
 
     def dim(self):
         return len(self.basis)
@@ -284,27 +281,20 @@ class KLRModule:
     def psi_map(self, k):
         """Column map of psi_k: for each basis index the image index, or -1
         when the vector is killed.  psi_k swaps entries k, k+1 when their
-        residues differ by more than 1 in Z/eZ."""
+        residues differ by more than 1 in Z/eZ: on the path, steps k and k+1
+        trade places.  Boxes of far residues neither share a row nor sit one
+        above the other, so the swapped path is again standard."""
         e = self.ch.e
         out = []
-        for col, t in enumerate(self.basis):
-            r1 = self.residues[col][k - 1]
-            r2 = self.residues[col][k]
-            if (r1 - r2) % e in (0, 1, e - 1):
+        for p, r in zip(self.paths, self.residues):
+            if (r[k - 1] - r[k]) % e in (0, 1, e - 1):
                 out.append(-1)
             else:
-                out.append(self.index[_swap_entries(t, k)])
+                out.append(self.index[p[:k - 1] + (p[k], p[k - 1]) + p[k + 1:]])
         return out
 
     def residue_sequences(self):
         return sorted(set(self.residues))
-
-
-def _swap_entries(t, k):
-    by_entry = tableau_boxes_by_entry(t)
-    order = [by_entry[j] for j in range(1, len(by_entry) + 1)]
-    order[k - 1], order[k] = order[k], order[k - 1]
-    return tableau_from_box_order(tableau_shape(t), order)
 
 
 def build_klr_module(la, ch, hbar):

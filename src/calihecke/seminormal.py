@@ -103,24 +103,6 @@ class SeminormalModule:
             cols.append(col)
         return cols
 
-    # -- sparse column-map algebra -----------------------------------------
-
-    def apply(self, op, vec):
-        """vec is a dict index -> Cyc; returns op(vec)."""
-        out = {}
-        for j, c in vec.items():
-            for i, coeff in op[j]:
-                term = coeff * c
-                out[i] = out[i] + term if i in out else term
-        return {i: c for i, c in out.items() if not c.is_zero()}
-
-    def compose(self, ops, j):
-        """Apply ops right-to-left to the j-th basis vector."""
-        vec = {j: Cyc.one(self.e)}
-        for op in reversed(ops):
-            vec = self.apply(op, vec)
-        return vec
-
     def t_inverse(self, i):
         """T_i^{-1} = q^{-1} (T_i + (1 - q))."""
         qinv = self.q.inv()
@@ -152,58 +134,55 @@ def seminormal_module(cls, e, a=1):
     return SeminormalModule(cls, e, a)
 
 
+def _column(side, j):
+    """Column j of one side of a relation.  A side is a list of terms
+    (scalar or None, ops): the product ops[0] ... ops[-1] of stored column
+    maps, times the scalar; an empty product is the identity.  The product
+    starts from the stored column j of ops[-1], an index listed twice is
+    summed, and zero entries are dropped."""
+    out = {}
+    for scalar, ops in side:
+        vec = None
+        for op in reversed(ops):
+            pairs = op[j] if vec is None else [
+                (i, coeff * c) for k, c in vec.items() for i, coeff in op[k]]
+            vec = {}
+            for i, c in pairs:
+                vec[i] = vec[i] + c if i in vec else c
+        if vec is None:
+            vec = {j: scalar}
+        elif scalar is not None:
+            vec = {i: scalar * c for i, c in vec.items()}
+        for i, c in vec.items():
+            out[i] = out[i] + c if i in out else c
+    return {i: c for i, c in out.items() if not c.is_zero()}
+
+
 def verify_hecke_relations(mod):
-    """Exact verification of the defining relations on every basis vector."""
-    n, dim = mod.n, mod.dim()
-    report = {}
+    """Exact verification of the defining relations on every basis vector:
+    each relation (name, lhs, rhs) holds when every column of its two sides
+    agrees."""
+    n, q, q1 = mod.n, mod.q, mod.q - 1
+    T, X = [None] + mod.T, [None] + mod.X  # T[i] is T_i, X[k] is X_k
 
-    def same(vec1, vec2):
-        keys = set(vec1) | set(vec2)
-        z = Cyc.zero(mod.e)
-        return all(vec1.get(k, z) == vec2.get(k, z) for k in keys)
+    def prod(*ops):
+        return [(None, ops)]
 
-    def check(name, left_ops, right_ops, scale=None):
-        ok = True
-        for j in range(dim):
-            lhs = mod.compose(left_ops, j)
-            rhs = mod.compose(right_ops, j)
-            if scale is not None:
-                rhs = {k: scale * c for k, c in rhs.items()}
-            if not same(lhs, rhs):
-                ok = False
-                break
-        report[name] = ok
-
+    # (T_i + 1)(T_i - q) = 0  <=>  T_i^2 = (q - 1) T_i + q
+    relations = [(f"quadratic_{i}", prod(T[i], T[i]), [(q1, (T[i],)), (q, ())])
+                 for i in range(1, n)]
+    relations += [(f"braid_{i}", prod(T[i], T[i + 1], T[i]), prod(T[i + 1], T[i], T[i + 1]))
+                  for i in range(1, n - 1)]
+    relations += [(f"distant_{i}_{j}", prod(T[i], T[j]), prod(T[j], T[i]))
+                  for i in range(1, n) for j in range(i + 2, n)]
+    relations += [(f"xcomm_{i}_{j}", prod(X[i], X[j]), prod(X[j], X[i]))
+                  for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for i in range(1, n):
-        Ti = mod.T[i - 1]
-        # (T_i + 1)(T_i - q) = 0  <=>  T_i^2 = (q - 1) T_i + q
-        ok = True
-        for j in range(dim):
-            lhs = mod.compose([Ti, Ti], j)
-            rhs = mod.apply(Ti, {j: mod.q - 1})
-            rhs[j] = rhs.get(j, Cyc.zero(mod.e)) + mod.q
-            if not same(lhs, rhs):
-                ok = False
-        report[f"quadratic_{i}"] = ok
-    for i in range(1, n - 1):
-        check(f"braid_{i}", [mod.T[i - 1], mod.T[i], mod.T[i - 1]],
-              [mod.T[i], mod.T[i - 1], mod.T[i]])
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            check(f"distant_{i}_{j}", [mod.T[i - 1], mod.T[j - 1]],
-                  [mod.T[j - 1], mod.T[i - 1]])
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            check(f"xcomm_{i}_{j}", [mod.X[i - 1], mod.X[j - 1]],
-                  [mod.X[j - 1], mod.X[i - 1]])
-    for i in range(1, n):
-        check(f"txt_{i}", [mod.T[i - 1], mod.X[i - 1], mod.T[i - 1]],
-              [mod.X[i]], scale=mod.q)
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                check(f"tx_{i}_{j}", [mod.T[i - 1], mod.X[j - 1]],
-                      [mod.X[j - 1], mod.T[i - 1]])
-    return report
+        relations.append((f"txt_{i}", prod(T[i], X[i], T[i]), [(q, (X[i + 1],))]))
+        relations += [(f"tx_{i}_{j}", prod(T[i], X[j]), prod(X[j], T[i]))
+                      for j in range(1, n + 1) if j not in (i, i + 1)]
+    return {name: all(_column(lhs, j) == _column(rhs, j) for j in range(mod.dim()))
+            for name, lhs, rhs in relations}
 
 
 def _propagate(cls, e, start, step, inconsistent):

@@ -129,23 +129,19 @@ def alcove_sweep(es, levels, n_max, pinned=True):
             yield Record("klr_relations", case, all(klr.values()))
 
 
-def locus_records(la, es):
-    """Criterion 13 for one partition: the closed-form locus U(la) against
-    the positivity oracle at c = a/e, reduced into (-1/2, 1/2], for every e
-    in es and every a coprime to e."""
-    locus = unitary_locus(la)
-    for e in es:
-        for a in range(1, e):
-            if gcd(a, e) == 1:
-                c = Fraction(a if 2 * a <= e else a - e, e)
-                yield Record("locus=oracle", _case(la=la, e=e, a=a),
-                             locus.contains(c) == oracle_locus_verdict(la, a, e))
-
-
 def locus_sweep(ns, es):
+    """Criterion 13 for every partition of every n in ns: the closed-form
+    locus U(la) against the positivity oracle at c = a/e, reduced into
+    (-1/2, 1/2], for every e in es and every a coprime to e."""
     for n in ns:
         for la in partitions_of(n):
-            yield from locus_records(la, es)
+            locus = unitary_locus(la)
+            for e in es:
+                for a in range(1, e):
+                    if gcd(a, e) == 1:
+                        c = Fraction(a if 2 * a <= e else a - e, e)
+                        yield Record("locus=oracle", _case(la=la, e=e, a=a),
+                                     locus.contains(c) == oracle_locus_verdict(la, a, e))
 
 
 def tally(records):

@@ -5,6 +5,9 @@ length-e vector of Fractions, reduced by polynomial division modulo Phi_e
 after every product, inverted by the extended Euclidean algorithm over Q.
 ``dense_form_invariance`` is the original dense form-invariance check, which
 compares every entry of G M with every entry of (M^{-1})^dagger G.
+``column_hecke_relations`` is the original Hecke-relation check, which
+applies each side's operators to every basis vector in turn, starting from
+that vector times one.
 ``tableau_sum_character`` is the original graded character, a sum over every
 standard tableau of t^degree; ``alcove_filtered_basis`` is the original KLR
 basis, every standard tableau filtered by rebuilding each prefix shape from
@@ -145,6 +148,78 @@ def dense_form_invariance(mod):
         report[f"T_{i}"] = invariant(mod.T[i - 1], mod.t_inverse(i))
     for k in range(1, mod.n + 1):
         report[f"X_{k}"] = invariant(mod.X[k - 1], mod.x_inverse(k))
+    return report
+
+
+def _apply(op, vec):
+    """vec is a dict index -> Cyc; returns op(vec)."""
+    out = {}
+    for j, c in vec.items():
+        for i, coeff in op[j]:
+            term = coeff * c
+            out[i] = out[i] + term if i in out else term
+    return {i: c for i, c in out.items() if not c.is_zero()}
+
+
+def _compose(mod, ops, j):
+    """Apply ops right-to-left to the j-th basis vector."""
+    vec = {j: Cyc.one(mod.e)}
+    for op in reversed(ops):
+        vec = _apply(op, vec)
+    return vec
+
+
+def column_hecke_relations(mod):
+    """The defining relations, checked column by column."""
+    n, dim = mod.n, mod.dim()
+    report = {}
+
+    def same(vec1, vec2):
+        keys = set(vec1) | set(vec2)
+        z = Cyc.zero(mod.e)
+        return all(vec1.get(k, z) == vec2.get(k, z) for k in keys)
+
+    def check(name, left_ops, right_ops, scale=None):
+        ok = True
+        for j in range(dim):
+            lhs = _compose(mod, left_ops, j)
+            rhs = _compose(mod, right_ops, j)
+            if scale is not None:
+                rhs = {k: scale * c for k, c in rhs.items()}
+            if not same(lhs, rhs):
+                ok = False
+                break
+        report[name] = ok
+
+    for i in range(1, n):
+        Ti = mod.T[i - 1]
+        # (T_i + 1)(T_i - q) = 0  <=>  T_i^2 = (q - 1) T_i + q
+        ok = True
+        for j in range(dim):
+            lhs = _compose(mod, [Ti, Ti], j)
+            rhs = _apply(Ti, {j: mod.q - 1})
+            rhs[j] = rhs.get(j, Cyc.zero(mod.e)) + mod.q
+            if not same(lhs, rhs):
+                ok = False
+        report[f"quadratic_{i}"] = ok
+    for i in range(1, n - 1):
+        check(f"braid_{i}", [mod.T[i - 1], mod.T[i], mod.T[i - 1]],
+              [mod.T[i], mod.T[i - 1], mod.T[i]])
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            check(f"distant_{i}_{j}", [mod.T[i - 1], mod.T[j - 1]],
+                  [mod.T[j - 1], mod.T[i - 1]])
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            check(f"xcomm_{i}_{j}", [mod.X[i - 1], mod.X[j - 1]],
+                  [mod.X[j - 1], mod.X[i - 1]])
+    for i in range(1, n):
+        check(f"txt_{i}", [mod.T[i - 1], mod.X[i - 1], mod.T[i - 1]],
+              [mod.X[i]], scale=mod.q)
+        for j in range(1, n + 1):
+            if j not in (i, i + 1):
+                check(f"tx_{i}_{j}", [mod.T[i - 1], mod.X[j - 1]],
+                      [mod.X[j - 1], mod.T[i - 1]])
     return report
 
 

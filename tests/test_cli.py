@@ -1,7 +1,7 @@
 import contextlib
+import hashlib
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -176,47 +176,98 @@ def test_origin_on_wall_rejected(capsys):
 
 def test_argparse_errors_are_json(capsys):
     for argv in (["classify", "--e", "x", "--charge", "0", "--n", "3"],
-                 ["nosuch"], [], ["locus", "--format", "xml"]):
+                 ["nosuch"], [], ["locus", "--format", "xml"],
+                 ["verify", "locus", "--jobs", "2"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "BAD_ARGUMENTS"
 
 
-def test_jobs_below_one_rejected(capsys):
-    for jobs in ("0", "-2"):
-        code, out, err = run(capsys, "verify", "locus", "--jobs", jobs)
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == "BAD_PARAMETERS"
+def test_huge_e_is_a_usage_error(capsys):
+    # Phi_e would be a list of e + 1 coefficients: more than an index can
+    # address, or more memory than a process can ask for
+    for e in ("99999999999999999999", str(2 ** 62)):
+        for flag, value in (("--weight", "0,1"), ("--partition", "2,1")):
+            code, out, err = run(capsys, "seminormal", "--e", e, flag, value)
+            assert code == 2 and out == "", (e, flag)
+            assert json.loads(err)["error"] == "BAD_PARAMETERS", (e, flag)
+            assert "Traceback" not in err
 
 
-def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
-    sizes = []
+# Exit code and sha256 of stdout for every query the benchmark's CLI session
+# can draw (perfbench/workloads.py CLI_POOLS) and for each verify suite.  A
+# change that keeps the CLI's output keeps these; one that changes the
+# output on purpose records new digests.
+PINNED_STDOUT = [
+    (["classify", "--e", "4", "--charge", "0,1", "--n", "11"], 0,
+     "02610b9f4f853b63e5eefb1d80a28f041050f89c48cf51eb8d87eb56966e690e"),
+    (["classify", "--e", "5", "--charge", "0,2", "--n", "10"], 0,
+     "8b9b8957f60ed4e0925e7d8580f217492e706dc458d06ebf10d7cec73581980a"),
+    (["classify", "--e", "4", "--charge", "0,2", "--n", "10"], 0,
+     "de99e2b6affb36bdd9d3ede10c387c3face043c1ff5de0b71b601e440a358317"),
+    (["classify", "--e", "4", "--charge", "0,1", "--n", "12"], 0,
+     "c2adfd75ac598ec401091bd07263499eb0f6e1023d0395a0cdb4e8bf118d80f4"),
+    (["classify", "--e", "4", "--charge", "0,2", "--n", "12"], 0,
+     "2ec93a65ebd0704dd76ec593142014b864d78612efe67c8af0acff5855c89b09"),
+    (["classify", "--e", "3", "--charge", "0,1,2", "--n", "11"], 0,
+     "e26dba4b381dfd0f35f68dc7991abfbeebb98cbaf79188143db55ba7558595ea"),
+    (["classify", "--e", "4", "--charge", "0,1,2", "--n", "10"], 0,
+     "39eb62b59c308a83afc5b9ba21b14306b88f107e2d2cd05e764bd7c1de88045e"),
+    (["classify", "--e", "5", "--charge", "0,1,2", "--n", "10"], 0,
+     "c0235175c74c85746fc80926372ab49c828686ff24a12fad93f66927be8f6920"),
+    (["seminormal", "--e", "10", "--partition", "4,3"], 0,
+     "911103da7c93ad82835fe7f70a6092f708a7fbc55e49c4e57e640acc20aca150"),
+    (["seminormal", "--e", "10", "--partition", "5,2"], 0,
+     "46f482bb805904197a44e439ed7a2eb60e967298669766aae5a3f9a3c3c7661d"),
+    (["bgg", "--e", "4", "--charge", "0,1", "--multipartition", "[[1,1],[2]]"], 0,
+     "a12f24abdde018ec76f541838a998ee689b7154a107dfbbe91c52a61cdd611f8"),
+    (["bgg", "--e", "5", "--charge", "0,2", "--multipartition", "[[2,1],[1]]"], 0,
+     "5e47ec2553331ec53770185475c0a8663688a661045a488f249d5c9bfce28704"),
+    (["bgg", "--e", "6", "--charge", "0,3", "--multipartition", "[[3,1],[2]]"], 0,
+     "871a6a5c97997fad701cb28bcd5afa53dbc9e22d7ba5a7b4177f60c4fe71b04c"),
+    (["bgg", "--e", "3", "--charge", "0", "--multipartition", "[[2]]"], 0,
+     "c9d5d8c69f8535999d0313b9f87a1190f1615914a421071dadd463350d9d3917"),
+    (["bgg", "--e", "6", "--charge", "0", "--multipartition", "[[4,2]]"], 0,
+     "62f836c2fb0cd474d49d81a67e5d5341699f3136715572391becc8bbf4e193a2"),
+    (["bgg", "--e", "5", "--charge", "0,2", "--multipartition", "[[2],[1]]"], 0,
+     "71e2936e3226e8ef8474b2df02853f8c2b69a5673378d570ea4bf6ccccd6d450"),
+    (["locus", "--partition", "3,2"], 0,
+     "0af883cb898635986e0021e5dcecbe27d6f5dba57658e86eb5082010d80eb86f"),
+    (["locus", "--partition", "4,4,2,1"], 0,
+     "d9fead565bd62b91f7515b1045a72db66a73a02fe4ae86803319714cdb791a00"),
+    (["locus", "--partition", "1,1,1"], 0,
+     "b78e02f4f70289e6f66aded920e91be19ab251b81acda3d3c07e7761f5248f83"),
+    (["locus", "--partition", "5"], 0,
+     "86c35d3e20b910f005455a8d48274e8fb47e2ce3d08170f1cb013a6496e7d007"),
+    (["locus", "--partition", "3,3,3"], 0,
+     "d29f1d5443e6c1b529fbf3c4dc7a3a6052be9084326614c4907008bd0239a8b6"),
+    (["locus", "--partition", "4,2,1"], 0,
+     "ecdababe6680f9e736f9cf77056d69354ded0f4c957750e2c62da948fd4a416a"),
+    (["locus", "--partition", "6,1"], 0,
+     "d9fead565bd62b91f7515b1045a72db66a73a02fe4ae86803319714cdb791a00"),
+    (["locus", "--partition", "2,2,1,1"], 0,
+     "9ccf00e8e1bc7257a111b7c5d4ec8eb61ced1c67faa781f8c8803cd1f86692a2"),
+    (["verify", "classification"], 0,
+     "1703fa9003f2fdd01148525ffc768f786bd7a831697c240d355c36a2e540dc03"),
+    (["verify", "locus"], 0,
+     "4fb33a731c4c833441b2236cf08c88a14e2b584ea118f518a920eabb01bd9ca3"),
+    (["verify", "seminormal"], 0,
+     "057e24c04cc857eecf2f8aea8ba64be23cb904707167b6a61d7237835fb188a8"),
+    (["verify", "klr"], 0,
+     "039bffe196bc83f7a285796d849655eab2508018f5d5380d3faaf995db15dbf8"),
+]
 
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, f, tasks):
-            return [f(x) for x in tasks]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(cli, "_locus_task", lambda la: True)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    for jobs, expected in (("64", [3]), ("2", [2]), ("1", [])):
-        sizes.clear()
-        code, out, _ = run(capsys, "verify", "locus", "--jobs", jobs)
-        assert code == 0 and json.loads(out) == {"locus": True}
-        assert sizes == expected, jobs
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    sizes.clear()
-    assert run(capsys, "verify", "locus", "--jobs", "8")[0] == 0
-    assert sizes == []
+def test_pinned_stdout():
+    changed = []
+    for argv, code, digest in PINNED_STDOUT:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            got = main(list(argv))
+        got_digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if (got, got_digest) != (code, digest):
+            changed.append((argv, got, got_digest))
+    assert changed == []
 
 
 # Each subcommand starts from a valid call (verify from an unknown suite, so
@@ -243,7 +294,6 @@ FLAG_VALUES = {
                          "[[2,1]]", "[[1],[1]]", "[[1],[2]]"],
     "--weight": ["x", "", "1_0", " 1", "+1", "-1,3", "0,0", "0,1,2", "0,2"],
     "--format": ["xml", "", "json", "tsv"],
-    "--jobs": ["x", "-1", "0", "1"],
 }
 BAD_SUITES = ["nope", "", "LOCUS", "all,locus"]
 STRAY = ["--bogus", "x", "--e"]

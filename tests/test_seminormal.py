@@ -22,7 +22,7 @@ from calihecke.seminormal import (
     weight_class,
 )
 from calihecke.sweeps import seminormal_modules
-from oracles import dense_form_invariance
+from oracles import column_hecke_relations, dense_form_invariance
 
 
 def test_calibrated_weight_examples():
@@ -126,12 +126,48 @@ def test_cyclotomic_membership():
 
 
 def test_corrupted_operator_fails_relations():
-    mod = seminormal_module(weight_class((0, 2), 4), 4)
+    # a 6-dimensional class: every T_i column with an off-diagonal entry
+    # moves within an orbit of several weights
+    cls = weight_class((0, 1, 3, 4), 6)
+    mod = seminormal_module(cls, 6)
+    assert mod.dim() == 6
     assert all(verify_hecke_relations(mod).values())
-    j, c = mod.T[0][0][0]
-    mod.T[0][0][0] = (j, c + 1)
-    report = verify_hecke_relations(mod)
-    assert not all(report.values())
+    mutants = 0
+    # 1 added to any single entry of T_i breaks its quadratic relation
+    for i in range(1, mod.n):
+        for j in range(mod.dim()):
+            for p in range(len(mod.T[i - 1][j])):
+                mutant = seminormal_module(cls, 6)
+                idx, c = mutant.T[i - 1][j][p]
+                mutant.T[i - 1][j][p] = (idx, c + 1)
+                report = verify_hecke_relations(mutant)
+                assert report == column_hecke_relations(mutant)
+                assert not report[f"quadratic_{i}"], (i, j, p)
+                mutants += 1
+    # an off-diagonal entry in X_k moves w_j to a weight that differs from
+    # cls[j] at some other position l, so X_k no longer commutes with X_l
+    for k in range(1, mod.n + 1):
+        for j in range(mod.dim()):
+            for idx in set(range(mod.dim())) - {j}:
+                mutant = seminormal_module(cls, 6)
+                mutant.X[k - 1][j].append((idx, Cyc.one(6)))
+                report = verify_hecke_relations(mutant)
+                assert report == column_hecke_relations(mutant)
+                assert not all(ok for name, ok in report.items()
+                               if name.startswith("xcomm_") and str(k) in name.split("_")[1:]), \
+                    (k, j, idx)
+                mutants += 1
+    assert mutants == 30 + 4 * 6 * 5
+
+
+def test_relation_table_matches_column_oracle():
+    # the `calihecke verify seminormal` range: e 2..5, n 1..4, coprime a
+    checked = 0
+    for mod in seminormal_modules(range(2, 6), range(1, 5)):
+        report = verify_hecke_relations(mod)
+        assert list(report.items()) == list(column_hecke_relations(mod).items())
+        checked += 1
+    assert checked == 526
 
 
 def test_class_count_matches_calibrated_multipartitions():
