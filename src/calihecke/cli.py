@@ -23,33 +23,25 @@ from .multipartitions import (
     make_charge,
     tableau_sums,
 )
-from .calibration import is_cali, is_flotw
-from .crystal import reachable_by_size
-from .alcoves import count_fundamental_paths, in_fundamental_alcove, length
-from . import bgg as bggmod
-from .seminormal import (
-    class_form_signs,
-    cyclotomic_membership,
-    is_calibrated_weight,
-    seminormal_module,
-    verify_form_invariance,
-    verify_hecke_relations,
-    weight_class,
-)
-from .unitary_loci import (
-    column_reading_weight,
-    unitary_locus,
-)
-from . import sweeps
+
+# Each command imports the layers it runs after the checks that need none
+# of them, so a command loads only its own layers and a malformed one none.
+
+
+def _sweeps():
+    from . import sweeps
+
+    return sweeps
+
 
 # The suites of `calihecke verify` at their own ranges; the acceptance gate
 # runs the same sweeps over wider ones.  `klr` takes every sorted charge in
 # [0, e)^ell, not only those with s_1 = 0.
 VERIFY_SWEEPS = {
-    "classification": lambda: sweeps.classification_sweep(range(2, 5), (1, 2), 6),
-    "seminormal": lambda: sweeps.seminormal_sweep(range(2, 6), range(1, 5)),
-    "klr": lambda: sweeps.alcove_sweep(range(3, 6), (1, 2), 5, pinned=False),
-    "locus": lambda: sweeps.locus_sweep(range(1, 8), range(2, 11)),
+    "classification": lambda: _sweeps().classification_sweep(range(2, 5), (1, 2), 6),
+    "seminormal": lambda: _sweeps().seminormal_sweep(range(2, 6), range(1, 5)),
+    "klr": lambda: _sweeps().alcove_sweep(range(3, 6), (1, 2), 5, pinned=False),
+    "locus": lambda: _sweeps().locus_sweep(range(1, 8), range(2, 11)),
 }
 
 
@@ -142,6 +134,10 @@ def cmd_classify(args):
         _die_usage("MISSING_N", "--n is required for classify")
     if args.n < 0:
         _die_usage("BAD_PARAMETERS", "need n >= 0")
+    from .alcoves import count_fundamental_paths, in_fundamental_alcove, length
+    from .calibration import is_cali, is_flotw
+    from .crystal import reachable_by_size
+
     rows = []
     count = tableau_sums()  # one fold: the rows share their prefix shapes
     for mp in sorted(reachable_by_size(args.n, ch)[args.n]):
@@ -176,9 +172,21 @@ def cmd_seminormal(args):
         la = _parse_partition(args)
         if la is None:
             _die_usage("MISSING_INPUT", "need --weight or --partition")
+        from .unitary_loci import column_reading_weight
+
         m = column_reading_weight(la, args.e)
     if gcd(args.a, args.e) != 1:
         _die_usage("BAD_PARAMETERS", "need gcd(a, e) = 1")
+    from .seminormal import (
+        class_form_signs,
+        cyclotomic_membership,
+        is_calibrated_weight,
+        seminormal_module,
+        verify_form_invariance,
+        verify_hecke_relations,
+        weight_class,
+    )
+
     if not is_calibrated_weight(m, args.e):
         _die_usage("NOT_CALIBRATED", "weight is not calibrated")
     cls = weight_class(m, args.e)
@@ -215,6 +223,9 @@ def cmd_bgg(args):
     hb = heights(la)
     if sum(hb) >= ch.e:
         _die_usage("BAD_PARAMETERS", "need e > total height")
+    from . import bgg as bggmod
+    from .alcoves import in_fundamental_alcove
+
     try:
         fundamental = in_fundamental_alcove(la, ch, hb)
     except ValueError as ex:
@@ -249,6 +260,8 @@ def cmd_locus(args):
     la = _parse_partition(args)
     if la is None:
         _die_usage("MISSING_INPUT", "need --partition")
+    from .unitary_loci import unitary_locus
+
     loc = unitary_locus(la)
     report = {
         "full": loc.full,
@@ -265,6 +278,7 @@ def cmd_verify(args):
     selected = sorted(VERIFY_SWEEPS) if args.suite == "all" else [args.suite]
     if any(s not in VERIFY_SWEEPS for s in selected):
         _die_usage("BAD_SUITE", f"unknown suite; choose from {sorted(VERIFY_SWEEPS)} or all")
+    sweeps = _sweeps()
     report = {name: sweeps.holds(VERIFY_SWEEPS[name]()) for name in selected}
     _emit(report, args.format)
     return 0 if all(report.values()) else 1

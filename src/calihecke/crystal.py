@@ -16,6 +16,7 @@ from .multipartitions import (
     mp_size,
     remove_box,
     removable_boxes,
+    residue,
 )
 
 
@@ -67,6 +68,12 @@ def build_from_word(word, ch):
     return mp
 
 
+def _residues(boxes, ch):
+    """The residues of boxes in increasing order: over the addable boxes the
+    only i at which f_tilde acts, over the removable ones those of e_tilde."""
+    return sorted({residue(b, ch) for b in boxes})
+
+
 def reachable_by_size(n, ch):
     """All crystal-reachable multipartitions of each size 0..n.
 
@@ -77,7 +84,7 @@ def reachable_by_size(n, ch):
     for _ in range(n):
         nxt = set()
         for mp in layers[-1]:
-            for i in range(ch.e):
+            for i in _residues(addable_boxes(mp), ch):
                 out = f_tilde(mp, ch, i)
                 if out is not None:
                     nxt.add(out)
@@ -92,7 +99,7 @@ def _reachable(mp, s, e):
     if mp_size(mp) == 0:
         return True
     ch = Charge(s, e)
-    for i in range(e):
+    for i in _residues(removable_boxes(mp), ch):
         down = e_tilde(mp, ch, i)
         # e_tilde inverts f_tilde, so mp is reachable iff some e_tilde image
         # is reachable
@@ -112,7 +119,7 @@ def _has_stuttering_build(mp, s, e):
     from .multipartitions import Charge
 
     ch = Charge(s, e)
-    for i in range(e):
+    for i in _residues(removable_boxes(mp), ch):
         down = e_tilde(mp, ch, i)
         if down is None:
             continue

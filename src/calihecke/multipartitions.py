@@ -89,32 +89,30 @@ def box_key(b, ch):
 
 def add_box(mp, b):
     r, c, m = b
+    if not (1 <= m <= len(mp) and 1 <= r <= len(mp[m - 1]) + 1):
+        raise ValueError(f"box {b} not addable")
     comp = list(mp[m - 1])
     if r == len(comp) + 1:
-        if c != 1:
-            raise ValueError(f"box {b} not addable")
-        comp.append(1)
-    else:
-        if comp[r - 1] + 1 != c:
-            raise ValueError(f"box {b} not addable")
-        comp[r - 1] += 1
+        comp.append(0)
+    # row r grows by one box and stays no longer than the row above
+    if comp[r - 1] + 1 != c or (r > 1 and comp[r - 2] < c):
+        raise ValueError(f"box {b} not addable")
+    comp[r - 1] = c
     out = list(mp)
     out[m - 1] = tuple(comp)
-    new = tuple(out)
-    if not is_partition(new[m - 1]):
-        raise ValueError(f"box {b} not addable")
-    return new
+    return tuple(out)
 
 
 def remove_box(mp, b):
     r, c, m = b
+    if not (1 <= m <= len(mp) and 1 <= r <= len(mp[m - 1])):
+        raise ValueError(f"box {b} not removable")
     comp = list(mp[m - 1])
-    if r > len(comp) or comp[r - 1] != c:
+    # row r ends at column c and the row below is shorter
+    if comp[r - 1] != c or (r < len(comp) and comp[r] == c):
         raise ValueError(f"box {b} not removable")
     comp[r - 1] -= 1
-    if comp[r - 1] == 0:
-        if r != len(comp):
-            raise ValueError(f"box {b} not removable")
+    if c == 1:
         comp.pop()
     out = list(mp)
     out[m - 1] = tuple(comp)

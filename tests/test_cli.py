@@ -374,3 +374,92 @@ def test_closed_stdout_exits_with_the_verdict():
             os.close(w)
         assert proc.returncode == 0, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
+
+
+def test_huge_e_classify_returns_at_once():
+    # f_tilde acts only at the residues of addable boxes, so the crystal
+    # walk never loops over range(e)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "calihecke.cli", "classify", "--e",
+                           "99999999999999999999", "--charge", "0", "--n", "2"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["rows"]
+    assert [row["multipartition"] for row in rows] == [[[1, 1]], [[2]]]
+
+
+# Each case runs in a fresh interpreter, so sys.modules holds only what the
+# case itself loaded.  sys.argv[1] is JSON: null imports the package only,
+# "__all__" lists the exported names that are not their home module's
+# object, and a list runs that command.
+LOADED = """
+import contextlib, io, json, sys
+import calihecke
+argv = json.loads(sys.argv[1])
+if argv is None:
+    code = None
+elif argv == "__all__":
+    def at_home(name):
+        obj = getattr(calihecke, name)
+        return (obj.__module__.startswith("calihecke.")
+                and getattr(sys.modules[obj.__module__], name) is obj)
+    code = sorted(name for name in calihecke.__all__ if not at_home(name))
+else:
+    from calihecke import cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as ex:
+            code = ex.code
+print(json.dumps({"code": code,
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "calihecke")}))
+"""
+
+
+def _loaded(argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED, json.dumps(argv)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    return out["code"], {m.removeprefix("calihecke.") for m in out["loaded"]} - {"calihecke"}
+
+
+def test_import_calihecke_loads_no_submodule():
+    assert _loaded(None) == (None, set())
+
+
+def test_exports_are_their_home_objects():
+    code, loaded = _loaded("__all__")
+    assert code == []
+    assert "cli" not in loaded and "sweeps" not in loaded
+
+
+# The calihecke modules each README example loads: a command imports only
+# the layers it runs.
+README_LOADS = [
+    (["classify", "--e", "7", "--charge", "0,1,4", "--n", "11"],
+     {"cli", "multipartitions", "crystal", "calibration", "alcoves"}),
+    (["seminormal", "--e", "4", "--weight", "0,2"],
+     {"cli", "multipartitions", "cyclotomics", "seminormal"}),
+    (["seminormal", "--e", "5", "--a", "2", "--partition", "2,1"],
+     {"cli", "multipartitions", "crystal", "cyclotomics", "seminormal", "unitary_loci"}),
+    (["bgg", "--e", "4", "--charge", "0,1", "--multipartition", "[[1,1],[2]]"],
+     {"cli", "multipartitions", "alcoves", "bgg"}),
+    (["locus", "--partition", "3,2"],
+     {"cli", "multipartitions", "crystal", "cyclotomics", "seminormal", "unitary_loci"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", README_LOADS)
+def test_command_loads_only_its_layers(argv, modules):
+    assert _loaded(argv) == (0, modules)
+
+
+@pytest.mark.parametrize("argv", [["verify", "nosuch"],
+                                  ["seminormal", "--e", "5", "--partition", "3,x"],
+                                  ["locus"]])
+def test_malformed_command_loads_no_layer(argv):
+    assert _loaded(argv) == (2, {"cli", "multipartitions"})

@@ -114,6 +114,43 @@ def test_add_remove_roundtrip(data):
         assert add_box(remove_box(mp, b), b) == mp
 
 
+def _shape_of(box_set, ell):
+    """The ell-multipartition whose boxes are box_set."""
+    out = []
+    for m in range(1, ell + 1):
+        comp = []
+        while (len(comp) + 1, 1, m) in box_set:
+            comp.append(sum(1 for r, _, k in box_set if (r, k) == (len(comp) + 1, m)))
+        out.append(tuple(comp))
+    return tuple(out)
+
+
+def test_add_remove_box_match_a_box_set_oracle():
+    # a zero or negative index must not wrap around, nor a row past the
+    # end raise IndexError: every box not addable (removable) is a ValueError
+    for ell in (1, 2):
+        for n in range(5):
+            for mp in multipartitions_of(n, ell):
+                have = {(r, c, m) for m, comp in enumerate(mp, start=1)
+                        for r, row_len in enumerate(comp, start=1)
+                        for c in range(1, row_len + 1)}
+                for b in itertools.product(range(-1, 7), range(-1, 7), range(-1, 4)):
+                    r, c, m = b
+                    inside = r >= 1 and c >= 1 and 1 <= m <= ell
+                    addable = (inside and b not in have
+                               and (r == 1 or (r - 1, c, m) in have)
+                               and (c == 1 or (r, c - 1, m) in have))
+                    removable = (b in have and (r + 1, c, m) not in have
+                                 and (r, c + 1, m) not in have)
+                    for op, ok, after in ((add_box, addable, have | {b}),
+                                          (remove_box, removable, have - {b})):
+                        if ok:
+                            assert op(mp, b) == _shape_of(after, ell), (op, mp, b)
+                        else:
+                            with pytest.raises(ValueError):
+                                op(mp, b)
+
+
 @given(charged_multipartitions())
 @settings(max_examples=50, deadline=None)
 def test_boxes_count(data):
