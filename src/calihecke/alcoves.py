@@ -9,6 +9,8 @@ eps_i - eps_j; the hyperplanes are <x, alpha> = r*e.  The standing
 assumption e > h is enforced on every entry point.
 """
 
+from functools import lru_cache
+
 from .multipartitions import tableau_boxes_by_entry, tableau_sums
 
 
@@ -156,13 +158,21 @@ def path_degree(p, ch, hbar):
     return deg
 
 
+@lru_cache(maxsize=None)
+def _path_fold(ch, hbar):
+    """The fold over prefix shapes that keeps the shapes in the fundamental
+    alcove of the frame (ch, hbar): fold(mp) = {0: |Path^F(mp)|}, or {} when
+    no such path reaches mp.  One fold per frame, so the labels of a frame
+    test each prefix shape against the alcove once between them."""
+    return tableau_sums(keep=lambda shape: in_fundamental_alcove(shape, ch, hbar))
+
+
 def count_fundamental_paths(mp, ch, hbar):
     """Standard tableaux of mp all of whose prefix shapes stay in the
     fundamental alcove."""
     if not in_fundamental_alcove(mp, ch, hbar):
         raise ValueError("shape not in the fundamental alcove")
-    paths = tableau_sums(keep=lambda shape: in_fundamental_alcove(shape, ch, hbar))
-    return paths(mp).get(0, 0)
+    return _path_fold(ch, tuple(hbar))(mp).get(0, 0)
 
 
 def b_alpha(i, ch, hbar):

@@ -1,8 +1,10 @@
 """Block posets of fundamental-alcove points, Carter-Payne covers,
 diamond/strand structure with a GF(2) sign system, graded characters, the
 Euler identity, and the explicit KLR action on the calibrated simple.
-The free functions of one label read one cached Block: its poset and its
-folds over prefix shapes are built once.
+The free functions of one label read one cached Block, its poset built
+once, and the folds over prefix shapes are shared wider: the alcove fold by
+every label of a frame (ch, hbar), the graded fold by every label of a
+charge, the tableau count by all.
 
 Graded characters are Laurent polynomials in t stored as dicts
 degree -> coefficient.
@@ -11,6 +13,7 @@ degree -> coefficient.
 from functools import lru_cache
 
 from .alcoves import (
+    _path_fold,
     embed,
     in_fundamental_alcove,
     point_length,
@@ -19,12 +22,12 @@ from .alcoves import (
     path_residues,
 )
 from .multipartitions import (
+    count_standard_tableaux,
     mp_size,
     residue_multiset,
     standard_tableaux,
     dominates,
     multipartitions_of,
-    heights,
     tableau_sums,
     _step_degrees,
 )
@@ -94,19 +97,13 @@ class Block:
 
     - poset: the BlockPoset of lambda, whose construction is the one check
       that lambda lies in the fundamental alcove;
-    - paths: the fold over prefix shapes that keeps the shapes in the
-      fundamental alcove, so n_paths = |Path^F(lambda)| and the KLR basis
-      walk tests each prefix shape against the alcove once;
-    - count, char: the ungraded and the graded fold, shared by every node
-      of the poset.
+    - n_paths = |Path^F(lambda)|, read off the alcove fold of the frame,
+      which the KLR basis walk reads too.
     """
 
     def __init__(self, la, ch, hbar):
         self.poset = BlockPoset(la, ch, hbar)
-        self.paths = tableau_sums(keep=lambda shape: in_fundamental_alcove(shape, ch, hbar))
-        self.n_paths = self.paths(la).get(0, 0)
-        self.count = tableau_sums()
-        self.char = tableau_sums(steps=lambda shape: _step_degrees(shape, ch))
+        self.n_paths = _path_fold(ch, hbar)(la).get(0, 0)
 
 
 @lru_cache(maxsize=1)
@@ -128,13 +125,12 @@ def block_poset(la, ch, hbar, cross_validate=False):
 
 def dominance_block(la, ch, hbar):
     """{mu : mu dominates la with the same residue multiset}, the
-    combinatorial description of the block."""
+    combinatorial description of the block, among the multipartitions whose
+    component heights hbar bounds."""
     n = mp_size(la)
     target = residue_multiset(la, ch)
     out = []
-    for mu in multipartitions_of(n, len(ch.s)):
-        if any(h1 > h2 for h1, h2 in zip(heights(mu), hbar)):
-            continue
+    for mu in multipartitions_of(n, len(ch.s), hbar):
         if residue_multiset(mu, ch) == target and dominates(mu, la, ch):
             out.append(mu)
     return sorted(out)
@@ -220,6 +216,13 @@ def sign_assignment(poset, edges=None):
     return {edge: (-1 if bits >> k & 1 else 1) for edge, k in index.items()}
 
 
+@lru_cache(maxsize=None)
+def _graded_fold(ch):
+    """The graded fold of one charge: the step degrees d(., ch) depend on
+    nothing else, so every label of the charge shares it."""
+    return tableau_sums(steps=lambda shape: _step_degrees(shape, ch))
+
+
 def graded_specht_character(mu, ch):
     """Sum over standard tableaux of t^degree, as a dict degree -> count.
 
@@ -227,13 +230,13 @@ def graded_specht_character(mu, ch):
     char(mu) = sum over removable b of t^d(mu, b) char(mu - b), with
     char(empty) = 1: the fold tableau_sums with steps d(., ch).
     """
-    return tableau_sums(steps=lambda shape: _step_degrees(shape, ch))(mu)
+    return dict(_graded_fold(ch)(mu))  # a copy: the memo is shared by the charge
 
 
 def euler_check(la, ch, hbar):
     blk = block(la, ch, hbar)
     poset = blk.poset
-    lhs = sum((-1) ** poset.lengths[mu] * blk.count(mu)[0] for mu in poset.nodes)
+    lhs = sum((-1) ** poset.lengths[mu] * count_standard_tableaux(mu) for mu in poset.nodes)
     rhs = blk.n_paths
     return {"alternating_sum": lhs, "fundamental_paths": rhs, "ok": lhs == rhs}
 
@@ -243,7 +246,8 @@ def graded_character_identity(la, ch, hbar):
     the shift conventions c = 1 and c = 2; report which hold."""
     blk = block(la, ch, hbar)
     poset, rhs = blk.poset, blk.n_paths
-    chars = {mu: blk.char(mu) for mu in poset.nodes}
+    char = _graded_fold(ch)
+    chars = {mu: char(mu) for mu in poset.nodes}
     report = {}
     for c in (1, 2):
         total = {}
@@ -269,8 +273,9 @@ class KLRModule:
         self.ch, self.hbar = ch, hbar
         self.n = mp_size(la)
         # the walk keeps a prefix shape when some alcove path reaches it; the
-        # block's alcove fold tests each prefix shape once
-        self.basis = sorted(standard_tableaux(la, keep=block(la, ch, hbar).paths))
+        # frame's alcove fold tests each prefix shape once
+        block(la, ch, hbar)  # the label's entry check
+        self.basis = sorted(standard_tableaux(la, keep=_path_fold(ch, hbar)))
         self.paths = [tableau_to_path(t, hbar) for t in self.basis]
         self.index = {p: k for k, p in enumerate(self.paths)}
         self.residues = [path_residues(p, ch, hbar) for p in self.paths]

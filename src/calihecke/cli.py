@@ -15,13 +15,13 @@ import sys
 from math import gcd
 
 from .multipartitions import (
+    count_standard_tableaux,
     heights,
     is_cylindrical_charge,
     is_multipartition,
     is_partition,
     is_s_admissible,
     make_charge,
-    tableau_sums,
 )
 
 # Each command imports the layers it runs after the checks that need none
@@ -109,8 +109,9 @@ def _parse_partition(args):
 def _emit(payload, fmt, table_key=None, columns=None):
     try:
         if fmt == "json":
-            json.dump(payload, sys.stdout, sort_keys=True)
-            sys.stdout.write("\n")
+            # one string from the C encoder: json.dump streams through the
+            # pure-Python one
+            sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         else:
             rows = payload[table_key] if table_key else [payload]
             if columns is None:
@@ -139,7 +140,6 @@ def cmd_classify(args):
     from .crystal import reachable_by_size
 
     rows = []
-    count = tableau_sums()  # one fold: the rows share their prefix shapes
     for mp in sorted(reachable_by_size(args.n, ch)[args.n]):
         hb = heights(mp)
         geom_ok = (sum(hb) < ch.e and is_s_admissible(hb, ch))
@@ -156,7 +156,7 @@ def cmd_classify(args):
             "flotw": is_flotw(mp, ch),
             "cali": is_cali(mp, ch),
             "alcove_length": alen,
-            "standard_tableaux": count(mp)[0],
+            "standard_tableaux": count_standard_tableaux(mp),
             "fundamental_paths": paths,
         })
     _emit({"rows": rows}, args.format, "rows",

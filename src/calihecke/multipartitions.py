@@ -8,6 +8,7 @@ component and a quantum characteristic e; the charged content of a box
 (r, c, m) is s_m + c - r and its residue is that value mod e.
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -280,8 +281,15 @@ def tableau_sums(steps=None, keep=None):
     return fold
 
 
+@lru_cache(maxsize=None)
+def _count_fold():
+    """The ungraded fold, one for every shape: a tableau count depends on
+    nothing but the shape."""
+    return tableau_sums()
+
+
 def count_standard_tableaux(mp):
-    return tableau_sums()(mp)[0]
+    return _count_fold()(mp)[0]
 
 
 def reverse_column_reading_tableau(mp, m=1):
@@ -377,26 +385,36 @@ def residue_multiset(mp, ch):
 # Enumeration helpers.
 
 
-def partitions_of(n, max_part=None):
-    """All partitions of n as tuples, largest part first."""
+def partitions_of(n, max_part=None, max_rows=None):
+    """All partitions of n as tuples, largest part first, with parts at most
+    max_part and at most max_rows rows."""
     if max_part is None:
         max_part = n
+    if max_rows is None:
+        max_rows = n
     if n == 0:
         return [()]
     out = []
     for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
+        if first * max_rows < n:
+            break  # max_rows rows of at most `first` boxes cannot hold n
+        for rest in partitions_of(n - first, first, max_rows - 1):
             out.append((first,) + rest)
     return out
 
 
-def multipartitions_of(n, ell):
-    """All ell-multipartitions of n."""
+def multipartitions_of(n, ell, hbar=None):
+    """All ell-multipartitions of n; with hbar, only those whose component
+    m has at most hbar[m] rows."""
+    rows = hbar[0] if hbar is not None else None
     if ell == 1:
-        return [(p,) for p in partitions_of(n)]
+        return [(p,) for p in partitions_of(n, max_rows=rows)]
     out = []
     for first_size in range(n + 1):
-        for p in partitions_of(first_size):
-            for rest in multipartitions_of(n - first_size, ell - 1):
-                out.append((p,) + rest)
+        firsts = partitions_of(first_size, max_rows=rows)
+        if not firsts:
+            continue
+        rests = multipartitions_of(n - first_size, ell - 1,
+                                   hbar[1:] if hbar is not None else None)
+        out.extend((p,) + rest for p in firsts for rest in rests)
     return out

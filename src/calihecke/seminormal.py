@@ -34,11 +34,12 @@ def is_calibrated_weight(m, e):
 
 
 def admissible_transposition(m, i, e):
-    """s_i is admissible at m when b_{i+1} != q^{+-1} b_i."""
-    m = _norm(m, e)
-    up = (m[i - 1] + 1) % e if e else m[i - 1] + 1
-    down = (m[i - 1] - 1) % e if e else m[i - 1] - 1
-    return m[i] != up and m[i] != down
+    """s_i is admissible at m when b_{i+1} != q^{+-1} b_i, that is when
+    m_{i+1} - m_i is not +-1 (mod e when e > 0)."""
+    d = m[i] - m[i - 1]
+    if e:
+        return (d - 1) % e != 0 and (d + 1) % e != 0
+    return d != 1 and d != -1
 
 
 def weight_class(m, e):

@@ -14,6 +14,10 @@ basis, every standard tableau filtered by rebuilding each prefix shape from
 its boxes and testing it against the fundamental alcove.
 ``sign_assignment_lists`` is the original diamond sign solver, GF(2)
 elimination on rows stored as lists of 0/1 entries.
+``dominance_block_full`` is the original dominance block, which tests every
+multipartition of |la| and drops those too tall for the frame afterwards.
+``admissible_transposition_reduced`` is the original admissibility test,
+which reduces the whole weight mod e before comparing two of its entries.
 """
 
 from fractions import Fraction
@@ -22,7 +26,11 @@ from calihecke.alcoves import in_fundamental_alcove
 from calihecke.bgg import covers, diamonds_and_strands
 from calihecke.cyclotomics import Cyc, cyclotomic_polynomial
 from calihecke.multipartitions import (
+    dominates,
+    heights,
     mp_size,
+    multipartitions_of,
+    residue_multiset,
     standard_tableaux,
     tableau_boxes_by_entry,
     tableau_degree,
@@ -291,3 +299,26 @@ def sign_assignment_lists(poset, edges=None):
         if cols and r[-1] == 1:
             bits[cols[0]] = 1
     return {edge: (-1 if bits[k] else 1) for edge, k in index.items()}
+
+
+def dominance_block_full(la, ch, hbar):
+    """{mu : mu dominates la with the same residue multiset}, searched among
+    all multipartitions of |la| and cut to the heights hbar afterwards."""
+    n = mp_size(la)
+    target = residue_multiset(la, ch)
+    out = []
+    for mu in multipartitions_of(n, len(ch.s)):
+        if any(h1 > h2 for h1, h2 in zip(heights(mu), hbar)):
+            continue
+        if residue_multiset(mu, ch) == target and dominates(mu, la, ch):
+            out.append(mu)
+    return sorted(out)
+
+
+def admissible_transposition_reduced(m, i, e):
+    """s_i is admissible at m when b_{i+1} != q^{+-1} b_i, decided on the
+    weight reduced mod e."""
+    m = tuple(x % e for x in m) if e else tuple(m)
+    up = (m[i - 1] + 1) % e if e else m[i - 1] + 1
+    down = (m[i - 1] - 1) % e if e else m[i - 1] - 1
+    return m[i] != up and m[i] != down

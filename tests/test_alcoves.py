@@ -1,5 +1,6 @@
 import pytest
 
+from calihecke import alcoves, multipartitions
 from calihecke.alcoves import (
     b_alpha,
     count_fundamental_paths,
@@ -27,6 +28,18 @@ from calihecke.multipartitions import (
 
 CH = Charge((0, 4), 9)
 HBAR = (2, 4)
+
+
+@pytest.fixture(autouse=True)
+def cold_folds():
+    """Each test starts and ends with empty shared folds, so that a memo
+    built through a monkeypatched in_fundamental_alcove stays inside its
+    test."""
+    for cache in (alcoves._path_fold, multipartitions._count_fold):
+        cache.cache_clear()
+    yield
+    for cache in (alcoves._path_fold, multipartitions._count_fold):
+        cache.cache_clear()
 
 
 def test_rho_known():

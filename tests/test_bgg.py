@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from calihecke import bgg
+from calihecke import alcoves, bgg, multipartitions
 from calihecke.alcoves import (
     count_fundamental_paths,
     in_fundamental_alcove,
@@ -29,7 +29,43 @@ from calihecke.multipartitions import (
     multipartitions_of,
 )
 from calihecke.sweeps import frames
-from oracles import alcove_filtered_basis, sign_assignment_lists, tableau_sum_character
+from oracles import (
+    alcove_filtered_basis,
+    dominance_block_full,
+    sign_assignment_lists,
+    tableau_sum_character,
+)
+
+
+def _clear_folds():
+    for cache in (alcoves._path_fold, bgg._graded_fold, multipartitions._count_fold,
+                  bgg.block):
+        cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_folds():
+    """Each test starts and ends with empty shared folds, so that a memo
+    built through a monkeypatched in_fundamental_alcove or _step_degrees
+    stays inside its test."""
+    _clear_folds()
+    yield
+    _clear_folds()
+
+
+def _count_alcove_tests(monkeypatch):
+    """Count the alcove tests of each shape: the label's entry check in bgg
+    and the prefix-shape tests of the frame's alcove fold in alcoves."""
+    tested = Counter()
+    real = alcoves.in_fundamental_alcove
+
+    def counting(mp, *frame):
+        tested[mp] += 1
+        return real(mp, *frame)
+
+    for module in (alcoves, bgg):
+        monkeypatch.setattr(module, "in_fundamental_alcove", counting)
+    return tested
 
 
 def test_level_one_block_21():
@@ -153,15 +189,8 @@ def test_klr_module_basics():
 
 def test_klr_basis_tests_each_prefix_shape_once(monkeypatch):
     la, ch, hbar = ((3, 1), (2,)), Charge((0, 3), 6), (2, 1)
-    tested = Counter()
-    real = bgg.in_fundamental_alcove
-
-    def counting(mp, *frame):
-        tested[mp] += 1
-        return real(mp, *frame)
-
-    monkeypatch.setattr(bgg, "in_fundamental_alcove", counting)
-    bgg.block.cache_clear()
+    tested = _count_alcove_tests(monkeypatch)
+    _clear_folds()
     mod = build_klr_module(la, ch, hbar)
     assert mod.dim() == 22
     tested[la] -= 1  # the label's own entry check
@@ -171,20 +200,15 @@ def test_klr_basis_tests_each_prefix_shape_once(monkeypatch):
 def test_block_is_built_once_per_label(monkeypatch):
     la, ch, hbar = ((3, 1), (2,)), Charge((0, 3), 6), (2, 1)
     posets = []
-    tested = Counter()
-    real_poset, real_alcove = bgg.BlockPoset, bgg.in_fundamental_alcove
+    real_poset = bgg.BlockPoset
 
     def counting_poset(*args):
         posets.append(args)
         return real_poset(*args)
 
-    def counting_alcove(mp, *frame):
-        tested[mp] += 1
-        return real_alcove(mp, *frame)
-
     monkeypatch.setattr(bgg, "BlockPoset", counting_poset)
-    monkeypatch.setattr(bgg, "in_fundamental_alcove", counting_alcove)
-    bgg.block.cache_clear()
+    tested = _count_alcove_tests(monkeypatch)
+    _clear_folds()
     euler = euler_check(la, ch, hbar)
     conventions = graded_character_identity(la, ch, hbar)
     poset = block_poset(la, ch, hbar)
@@ -194,6 +218,40 @@ def test_block_is_built_once_per_label(monkeypatch):
     assert len(posets) == 1 and poset.nodes[0] == la
     tested[la] -= 1  # the label's own entry check
     assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
+
+
+def test_labels_of_one_frame_test_each_prefix_shape_once(monkeypatch):
+    ch, hbar = Charge((0, 3), 6), (2, 1)
+    labels = [((2, 1), (1,)), ((3, 1), (2,))]
+    tested = _count_alcove_tests(monkeypatch)
+    for la in labels:
+        euler = euler_check(la, ch, hbar)
+        assert euler["ok"]
+        assert build_klr_module(la, ch, hbar).dim() == euler["fundamental_paths"]
+    assert labels[0] in tested  # the smaller label is a prefix shape of the larger
+    for la in labels:
+        tested[la] -= 1  # each label's own entry check
+    assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
+
+
+def test_shared_folds_give_the_same_results_in_either_sweep_order():
+    labels = [(ch, la, hb) for ch, la, hb in frames(range(2, 6), (1, 2), 5)
+              if in_fundamental_alcove(la, ch, hb)]
+
+    def results(order):
+        _clear_folds()
+        out = {}
+        for ch, la, hb in order:
+            klr = None
+            if ch.e > 2:
+                mod = build_klr_module(la, ch, hb)
+                klr = (mod.dim(), verify_klr_relations(mod))
+            out[ch, la] = (euler_check(la, ch, hb), graded_character_identity(la, ch, hb), klr)
+        return out
+
+    forward = results(labels)
+    assert results(labels[::-1]) == forward
+    assert len(forward) == len(labels) == 396
 
 
 def test_klr_rejects_e2():
@@ -219,6 +277,31 @@ def test_dominance_block_is_superset_closed():
     assert LA in blocks
     assert ((4,), ()) in blocks
     assert len(blocks) == 5
+
+
+def test_dominance_block_matches_full_enumeration():
+    labels = 0
+    for ch, la, hb in frames(range(2, 7), (1, 2, 3), 6):
+        if not in_fundamental_alcove(la, ch, hb):
+            continue
+        labels += 1
+        assert dominance_block(la, ch, hb) == dominance_block_full(la, ch, hb), (la, ch)
+    assert labels == 4681
+
+
+def test_dominance_block_tests_only_shapes_of_the_frame(monkeypatch):
+    # the full enumeration would test every bipartition of 28
+    calls = []
+    real = bgg.dominates
+
+    def counting(mu, la, ch):
+        calls.append(mu)
+        return real(mu, la, ch)
+
+    monkeypatch.setattr(bgg, "dominates", counting)
+    la = ((28,), ())
+    assert dominance_block(la, Charge((0, 0), 3), (1, 0)) == [la]
+    assert calls == [la]
 
 
 def test_klr_r1_detects_duplicated_and_dropped_fibres(monkeypatch):

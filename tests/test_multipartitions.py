@@ -69,6 +69,16 @@ def test_multipartition_counts():
     assert len(multipartitions_of(2, 2)) == 5  # (2|-), (11|-), (1|1), (-|2), (-|11)
 
 
+def test_multipartitions_within_heights_are_the_filtered_full_list():
+    for n in range(8):
+        for ell in (1, 2, 3):
+            full = multipartitions_of(n, ell)
+            for hbar in itertools.product(range(4), repeat=ell):
+                expected = [mp for mp in full
+                            if all(len(comp) <= h for comp, h in zip(mp, hbar))]
+                assert multipartitions_of(n, ell, hbar) == expected, (n, hbar)
+
+
 def test_charge_validation():
     assert make_charge((0, 1), 4).level == 2
     with pytest.raises(ValueError):

@@ -22,7 +22,23 @@ from calihecke.seminormal import (
     weight_class,
 )
 from calihecke.sweeps import seminormal_modules
-from oracles import column_hecke_relations, dense_form_invariance
+from oracles import (
+    admissible_transposition_reduced,
+    column_hecke_relations,
+    dense_form_invariance,
+)
+
+
+def test_admissible_transposition_matches_reduced_weight_oracle():
+    # every weight of length <= 4 with entries in -e..2e, unreduced ones
+    # included (-3..3 at e = 0)
+    for e in (0, 2, 3, 4, 5, 6, 7):
+        entries = range(-e, 2 * e + 1) if e else range(-3, 4)
+        for n in range(2, 5):
+            for m in itertools.product(entries, repeat=n):
+                for i in range(1, n):
+                    assert (admissible_transposition(m, i, e)
+                            == admissible_transposition_reduced(m, i, e)), (m, i, e)
 
 
 def test_calibrated_weight_examples():
