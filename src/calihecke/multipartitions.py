@@ -328,16 +328,20 @@ def _step_degrees(mu, ch):
 
 
 def tableau_degree(t, ch):
-    """Sum over entries of the step degree of the entry's box in its prefix
-    shape (see _step_degrees)."""
+    """Sum over the entries k of d(shape, b) for the box b holding k and the
+    shape of the entries 1..k: the addable boxes of that shape with b's
+    residue and a larger box_key, minus such removable boxes.  Only the
+    added box is looked at, so this per-tableau sum shares no code with
+    the fold's _step_degrees."""
     by_entry = tableau_boxes_by_entry(t)
-    n = len(by_entry)
     shape = tuple(() for _ in t)
     deg = 0
-    for k in range(1, n + 1):
+    for k in range(1, len(by_entry) + 1):
         b = by_entry[k]
         shape = add_box(shape, b)
-        deg += _step_degrees(shape, ch)[b]
+        i, key = residue(b, ch), box_key(b, ch)
+        deg += (sum(1 for x in addable_boxes(shape, ch, i) if box_key(x, ch) > key)
+                - sum(1 for x in removable_boxes(shape, ch, i) if box_key(x, ch) > key))
     return deg
 
 

@@ -6,11 +6,19 @@ A calibrated weight is stored by its exponent vector m (b_k = zeta^(a*m_k),
 q = zeta^a, zeta = exp(2*pi*i/e)).  All matrix arithmetic is exact in
 Q(zeta_e); operators are kept column-sparse (at most two entries per
 column).
+
+T_i moves a basis vector only within the span of w_m and w_{s_i m}, and X_k
+is diagonal, so every relation and every invariance condition, read on one
+column, involves only the orbit of that column under the operators it
+names: at most 6 weights.  Both checks walk the columns one orbit at a
+time and memoise the verdict on the orbit's local submatrices, relabelled
+0..k-1 and written as exact integers, so equal local configurations are
+checked once.
 """
 
 from functools import lru_cache
 
-from .cyclotomics import Cyc, re_compare
+from .cyclotomics import Cyc, _new, re_compare
 
 
 def _norm(m, e):
@@ -105,19 +113,23 @@ class SeminormalModule:
         return cols
 
     def t_inverse(self, i):
-        """T_i^{-1} = q^{-1} (T_i + (1 - q))."""
-        qinv = self.q.inv()
+        """T_i^{-1} = q^{-1} (T_i + (1 - q)), with q^{-1} = zeta^(-a)."""
+        qinv, shift = Cyc.zeta_power(self.e, -self.a), 1 - self.q
         cols = []
         for j, col in enumerate(self.T[i - 1]):
             new = []
             for idx, coeff in col:
-                c = coeff + (1 - self.q) if idx == j else coeff
+                c = coeff + shift if idx == j else coeff
                 new.append((idx, qinv * c))
             cols.append(new)
         return cols
 
     def x_inverse(self, k):
-        return [[(j, col[0][1].inv())] for j, col in enumerate(self.X[k - 1])]
+        """X_k^{-1}, reading the diagonal of X_k; each distinct entry is
+        inverted once."""
+        diag = [col[0][1] for col in self.X[k - 1]]
+        inverses = {c: c.inv() for c in set(diag)}
+        return [[(j, inverses[c])] for j, c in enumerate(diag)]
 
 
 @lru_cache(maxsize=None)
@@ -159,10 +171,90 @@ def _column(side, j):
     return {i: c for i, c in out.items() if not c.is_zero()}
 
 
+def _orbits(ops, dim):
+    """Yield (orbit, pos): the indices that a column reaches through the
+    column maps of ops, in walk order from the first column not yet
+    covered, and pos[index] = its place in the orbit.  Each orbit is closed
+    under every op, and together they cover all dim columns."""
+    covered = [False] * dim
+    for j in range(dim):
+        if covered[j]:
+            continue
+        orbit, pos = [j], {j: 0}
+        for k in orbit:
+            for op in ops:
+                for i, _ in op[k]:
+                    if i not in pos:
+                        pos[i] = len(orbit)
+                        orbit.append(i)
+        for k in orbit:
+            covered[k] = True
+        yield orbit, pos
+
+
+def _local(op, orbit, pos):
+    """The submatrix of op on a closed orbit as one flat int tuple: per
+    local column its entry count, then per entry the local row, the
+    denominator and the phi(e) numerators."""
+    flat = []
+    for k in orbit:
+        col = op[k]
+        flat.append(len(col))
+        for i, c in col:
+            flat.append(pos[i])
+            flat.append(c.den)
+            flat.extend(c.num)
+    return tuple(flat)
+
+
+def _unflatten_columns(e, flat):
+    """The column map that _local wrote into flat."""
+    d = len(Cyc.zero(e).num)
+    cols, p = [], 0
+    while p < len(flat):
+        col, count = [], flat[p]
+        p += 1
+        for _ in range(count):
+            col.append((flat[p], _new(e, flat[p + 2:p + 2 + d], flat[p + 1])))
+            p += 2 + d
+        cols.append(col)
+    return cols
+
+
+def _relation_shape(lhs, rhs):
+    """The distinct operators of a relation (by identity, in order of first
+    use) and its shape: each side's terms with the scalar as (num, den) or
+    None and each operator as its position among the distinct ones."""
+    ops = list({id(op): op for _, term_ops in lhs + rhs for op in term_ops}.values())
+    position = {id(op): k for k, op in enumerate(ops)}
+
+    def side(terms):
+        return tuple((None if s is None else (s.num, s.den),
+                      tuple(position[id(op)] for op in term_ops)) for s, term_ops in terms)
+
+    return ops, (side(lhs), side(rhs))
+
+
+@lru_cache(maxsize=None)
+def _relation_verdict(e, shape, local):
+    """Does the relation of this shape hold on every column of the local
+    operators (one flat tuple each, see _local)?  Everything is rebuilt
+    from the key, so equal keys give equal verdicts."""
+    ops = [_unflatten_columns(e, flat) for flat in local]
+
+    def side(terms):
+        return [(None if s is None else _new(e, *s), tuple(ops[k] for k in positions))
+                for s, positions in terms]
+
+    lhs, rhs = side(shape[0]), side(shape[1])
+    return all(_column(lhs, j) == _column(rhs, j) for j in range(len(ops[0])))
+
+
 def verify_hecke_relations(mod):
     """Exact verification of the defining relations on every basis vector:
     each relation (name, lhs, rhs) holds when every column of its two sides
-    agrees."""
+    agrees.  The columns are checked one orbit of the relation's operators
+    at a time, each through the verdict memo _relation_verdict."""
     n, q, q1 = mod.n, mod.q, mod.q - 1
     T, X = [None] + mod.T, [None] + mod.X  # T[i] is T_i, X[k] is X_k
 
@@ -182,8 +274,14 @@ def verify_hecke_relations(mod):
         relations.append((f"txt_{i}", prod(T[i], X[i], T[i]), [(q, (X[i + 1],))]))
         relations += [(f"tx_{i}_{j}", prod(T[i], X[j]), prod(X[j], T[i]))
                       for j in range(1, n + 1) if j not in (i, i + 1)]
-    return {name: all(_column(lhs, j) == _column(rhs, j) for j in range(mod.dim()))
-            for name, lhs, rhs in relations}
+
+    def holds(lhs, rhs):
+        ops, shape = _relation_shape(lhs, rhs)
+        return all(_relation_verdict(mod.e, shape,
+                                     tuple(_local(op, orbit, pos) for op in ops))
+                   for orbit, pos in _orbits(ops, mod.dim()))
+
+    return {name: holds(lhs, rhs) for name, lhs, rhs in relations}
 
 
 def _propagate(cls, e, start, step, inconsistent):
@@ -243,12 +341,22 @@ def form_values(mod):
     A_{s_i b} / A_b = (b_i - q b_{i+1}) / (q b_i - b_{i+1}), which is what
     form invariance under T_i forces."""
 
-    def step(wt, i):
-        bi, bi1 = mod._b(wt, i), mod._b(wt, i + 1)
-        return (bi - mod.q * bi1) / (mod.q * bi - bi1)
+    e, a = mod.e, mod.a
 
-    return _propagate(mod.cls, mod.e, Cyc.one(mod.e), step,
+    def step(wt, i):
+        return _form_ratio(e, a, wt[i - 1] % e, wt[i] % e)
+
+    return _propagate(mod.cls, e, Cyc.one(e), step,
                       "inconsistent form values around a cycle")
+
+
+@lru_cache(maxsize=None)
+def _form_ratio(e, a, mi, mi1):
+    """A_{s_i b} / A_b = (b_i - q b_{i+1}) / (q b_i - b_{i+1}) at a weight
+    with (m_i, m_{i+1}) = (mi, mi1) mod e.  At most e^2 pairs per (e, a)."""
+    q = Cyc.zeta_power(e, a)
+    bi, bi1 = Cyc.zeta_power(e, a * mi), Cyc.zeta_power(e, a * mi1)
+    return (bi - q * bi1) / (q * bi - bi1)
 
 
 def is_unitary_class(mod):
@@ -263,19 +371,15 @@ def verify_form_invariance(mod):
     (G M)_{ij} = G_i M_{ij} and ((M^{-1})^dagger G)_{ij} = conj(Minv_{ji}) G_j
     both vanish outside the supports of M and Minv^T, so only entries on
     their union are compared: O(dim) per operator, since every column holds
-    at most two entries."""
-    G = form_values(mod)
-    zero = Cyc.zero(mod.e)
-
-    def entries(op):
-        return {(i, j): c for j, col in enumerate(op) for i, c in col}
+    at most two entries.  An orbit of (M, Minv) holds both ends of every
+    support pair found in its columns, so the pairs are checked one orbit
+    at a time, each through the verdict memo _invariance_verdict."""
+    G = [[(j, g)] for j, g in enumerate(form_values(mod))]  # as a diagonal column map
 
     def invariant(op, op_inv):
-        M, Minv = entries(op), entries(op_inv)
-        for i, j in M.keys() | {(j, i) for i, j in Minv}:
-            if G[i] * M.get((i, j), zero) != Minv.get((j, i), zero).conj() * G[j]:
-                return False
-        return True
+        return all(_invariance_verdict(mod.e, _local(G, orbit, pos), _local(op, orbit, pos),
+                                       _local(op_inv, orbit, pos))
+                   for orbit, pos in _orbits((op, op_inv), mod.dim()))
 
     report = {}
     for i in range(1, mod.n):
@@ -283,6 +387,22 @@ def verify_form_invariance(mod):
     for k in range(1, mod.n + 1):
         report[f"X_{k}"] = invariant(mod.X[k - 1], mod.x_inverse(k))
     return report
+
+
+@lru_cache(maxsize=None)
+def _invariance_verdict(e, g, op, op_inv):
+    """G M = (M^{-1})^dagger G on the support pairs of the local operators,
+    with g the local form values as a diagonal column map (flat tuples, see
+    _local), rebuilt from the key alone."""
+    G = [col[0][1] for col in _unflatten_columns(e, g)]
+    zero = Cyc.zero(e)
+
+    def entries(flat):
+        return {(i, j): c for j, col in enumerate(_unflatten_columns(e, flat)) for i, c in col}
+
+    M, Minv = entries(op), entries(op_inv)
+    return all(G[i] * M.get((i, j), zero) == Minv.get((j, i), zero).conj() * G[j]
+               for i, j in M.keys() | {(j, i) for i, j in Minv})
 
 
 def cyclotomic_membership(mod, ch):

@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,9 @@ from calihecke.calibration import enumerate_cali
 from calihecke.cyclotomics import Cyc
 from calihecke.multipartitions import Charge
 from calihecke.seminormal import (
+    _form_ratio,
+    _invariance_verdict,
+    _relation_verdict,
     _t_entries,
     admissible_transposition,
     class_form_signs,
@@ -177,13 +181,30 @@ def test_corrupted_operator_fails_relations():
 
 
 def test_relation_table_matches_column_oracle():
-    # the `calihecke verify seminormal` range: e 2..5, n 1..4, coprime a
+    # the criterion-6 sweep: every calibrated class, e 2..6, n 1..5, coprime
+    # a; the verdict memo warms up along the sweep
     checked = 0
-    for mod in seminormal_modules(range(2, 6), range(1, 5)):
+    for mod in seminormal_modules(range(2, 7), range(1, 6)):
         report = verify_hecke_relations(mod)
         assert list(report.items()) == list(column_hecke_relations(mod).items())
         checked += 1
-    assert checked == 526
+    assert checked == 1358
+
+
+def test_verdicts_are_memoised_per_local_configuration():
+    cls = weight_class((0, 1, 3, 4), 6)
+    _relation_verdict.cache_clear()
+    _invariance_verdict.cache_clear()
+    verify_hecke_relations(seminormal_module(cls, 6))
+    verify_form_invariance(seminormal_module(cls, 6))
+    relations, invariance = _relation_verdict.cache_info(), _invariance_verdict.cache_info()
+    # local configurations repeat even within one module
+    assert relations.hits > 0 and invariance.hits > 0
+    # a second module of the same class builds the same local keys
+    assert all(verify_hecke_relations(seminormal_module(cls, 6)).values())
+    assert all(verify_form_invariance(seminormal_module(cls, 6)).values())
+    assert _relation_verdict.cache_info().misses == relations.misses
+    assert _invariance_verdict.cache_info().misses == invariance.misses
 
 
 def test_class_count_matches_calibrated_multipartitions():
@@ -221,16 +242,25 @@ def test_sparse_invariance_matches_dense_oracle():
 
 def test_corrupted_operator_fails_invariance():
     cls = weight_class((0, 2, 1, 3), 4)
-    cases = (("T_1", "diagonal"), ("T_1", "new entry"), ("X_1", "new entry"),
-             ("X_1", "inverse entry"))
+    # the clean module first, so that every clean local configuration is
+    # in the verdict memo when the corrupted ones are checked
+    assert all(verify_form_invariance(seminormal_module(cls, 4)).values())
+    cases = (("T_1", "diagonal"), ("T_1", "off-diagonal"), ("T_1", "new entry"),
+             ("X_1", "new entry"), ("X_1", "inverse entry"))
     for op, corrupt in cases:
         mod = seminormal_module(cls, 4)
-        col = (mod.T if op[0] == "T" else mod.X)[0][0]
-        # an index outside the support of the operator's first column
+        ops = mod.T if op[0] == "T" else mod.X
+        # the first column of T_1 with an off-diagonal entry
+        col = ops[0][min(j for j, c in enumerate(ops[0]) if len(c) > 1)
+                     if corrupt == "off-diagonal" else 0]
+        # an index outside the support of the operator's column
         k = min(set(range(mod.dim())) - {i for i, _ in col})
         if corrupt == "diagonal":
             j, c = col[0]
             col[0] = (j, c + 1)
+        elif corrupt == "off-diagonal":
+            j, c = col[1]
+            col[1] = (j, c + 1)
         elif corrupt == "new entry":
             # x_inverse reads only the diagonal, so for X_1 the entry is
             # outside the support of the inverse as well
@@ -242,6 +272,57 @@ def test_corrupted_operator_fails_invariance():
         sparse, dense = verify_form_invariance(mod), dense_form_invariance(mod)
         assert sparse == dense
         assert not sparse[op]
+
+
+def test_cached_form_ratio_matches_the_formula():
+    # every residue pair, every e 2..6 and coprime a; the formula has a pole
+    # where b_{i+1} = q b_i, and the cached ratio must raise there too
+    for e in range(2, 7):
+        for a in (a for a in range(1, e) if gcd(a, e) == 1):
+            q = Cyc.zeta_power(e, a)
+            for mi, mi1 in itertools.product(range(e), repeat=2):
+                bi, bi1 = Cyc.zeta_power(e, a * mi), Cyc.zeta_power(e, a * mi1)
+                if (q * bi - bi1).is_zero():
+                    with pytest.raises(ZeroDivisionError):
+                        _form_ratio(e, a, mi, mi1)
+                else:
+                    assert _form_ratio(e, a, mi, mi1) == (bi - q * bi1) / (q * bi - bi1)
+
+
+@st.composite
+def corrupted_modules(draw):
+    """A seminormal module (e 2..6, n <= 4, a coprime to e), the clean
+    module of its class, and the module with one entry of one T_i or X_k
+    changed: an existing entry moved by 2, or a new entry at a row the
+    column does not hold."""
+    e = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=4))
+    cls = draw(st.sampled_from(enumerate_calibrated_classes(n, e)))
+    a = draw(st.sampled_from([a for a in range(1, e) if gcd(a, e) == 1]))
+    clean, mutant = seminormal_module(cls, e, a), seminormal_module(cls, e, a)
+    op = draw(st.sampled_from(mutant.T + mutant.X))
+    col = op[draw(st.integers(min_value=0, max_value=mutant.dim() - 1))]
+    row = draw(st.integers(min_value=0, max_value=mutant.dim() - 1))
+    rows = [i for i, _ in col]
+    # 2 is never -zeta^k, so a moved X entry stays invertible
+    if row in rows:
+        p = rows.index(row)
+        col[p] = (row, col[p][1] + 2)
+    else:
+        col.append((row, Cyc.from_rational(e, draw(st.sampled_from((-1, 1, 2))))))
+    return clean, mutant
+
+
+@given(corrupted_modules())
+@settings(max_examples=60, deadline=None)
+def test_warm_memo_matches_the_oracles_on_corrupted_modules(modules):
+    clean, mutant = modules
+    # warm the memo with every clean local configuration of the class
+    assert all(verify_hecke_relations(clean).values())
+    assert all(verify_form_invariance(clean).values())
+    report = verify_hecke_relations(mutant)
+    assert list(report.items()) == list(column_hecke_relations(mutant).items())
+    assert verify_form_invariance(mutant) == dense_form_invariance(mutant)
 
 
 def test_cached_t_entries_match_the_formula():
