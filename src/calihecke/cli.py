@@ -26,23 +26,8 @@ from .multipartitions import (
 
 # Each command imports the layers it runs after the checks that need none
 # of them, so a command loads only its own layers and a malformed one none.
-
-
-def _sweeps():
-    from . import sweeps
-
-    return sweeps
-
-
-# The suites of `calihecke verify` at their own ranges; the acceptance gate
-# runs the same sweeps over wider ones.  `klr` takes every sorted charge in
-# [0, e)^ell, not only those with s_1 = 0.
-VERIFY_SWEEPS = {
-    "classification": lambda: _sweeps().classification_sweep(range(2, 5), (1, 2), 6),
-    "seminormal": lambda: _sweeps().seminormal_sweep(range(2, 6), range(1, 5)),
-    "klr": lambda: _sweeps().alcove_sweep(range(3, 6), (1, 2), 5, pinned=False),
-    "locus": lambda: _sweeps().locus_sweep(range(1, 8), range(2, 11)),
-}
+# `verify` reads its suite names from the table in `sweeps`, which loads no
+# layer until a sweep runs.
 
 
 def _fmt_rational(c):
@@ -275,11 +260,14 @@ def cmd_locus(args):
 
 
 def cmd_verify(args):
-    selected = sorted(VERIFY_SWEEPS) if args.suite == "all" else [args.suite]
-    if any(s not in VERIFY_SWEEPS for s in selected):
-        _die_usage("BAD_SUITE", f"unknown suite; choose from {sorted(VERIFY_SWEEPS)} or all")
-    sweeps = _sweeps()
-    report = {name: sweeps.holds(VERIFY_SWEEPS[name]()) for name in selected}
+    from . import sweeps
+
+    suites = sorted(name for name, (_, profiles) in sweeps.SUITES.items()
+                    if "verify" in profiles)
+    selected = suites if args.suite == "all" else [args.suite]
+    if any(s not in suites for s in selected):
+        _die_usage("BAD_SUITE", f"unknown suite; choose from {suites} or all")
+    report = {name: not any(sweeps.run_suite(name, "verify").values()) for name in selected}
     _emit(report, args.format)
     return 0 if all(report.values()) else 1
 

@@ -9,6 +9,7 @@ component and a quantum characteristic e; the charged content of a box
 """
 
 from functools import lru_cache
+from itertools import permutations
 from typing import NamedTuple
 
 
@@ -373,6 +374,29 @@ def dominates(mu, la, ch):
         if len(ku) != len(kl):
             return False
         if any(l > u for u, l in zip(ku, kl)):
+            return False
+    return True
+
+
+def dominates_by_search(mu, la, ch):
+    """Test mu >= la by the definition: search every residue-preserving
+    bijection from the boxes of mu onto those of la for one that moves every
+    box weakly down the dominance order.  Exponential in the boxes of one
+    residue; the reference that dominates is checked against."""
+
+    def keys_by_residue(mp):
+        out = {}
+        for b in boxes(mp):
+            out.setdefault(residue(b, ch), []).append(box_key(b, ch))
+        return out
+
+    ku, kl = keys_by_residue(mu), keys_by_residue(la)
+    if ku.keys() != kl.keys():
+        return False
+    for i, up in ku.items():
+        down = kl[i]
+        if len(up) != len(down) or not any(all(l <= up[j] for l, j in zip(down, perm))
+                                           for perm in permutations(range(len(up)))):
             return False
     return True
 

@@ -437,8 +437,8 @@ def test_exports_are_their_home_objects():
     assert "cli" not in loaded and "sweeps" not in loaded
 
 
-# The calihecke modules each README example loads: a command imports only
-# the layers it runs.
+# The calihecke modules each README example and two `verify` suites load:
+# a command imports only the layers it runs.
 README_LOADS = [
     (["classify", "--e", "7", "--charge", "0,1,4", "--n", "11"],
      {"cli", "multipartitions", "crystal", "calibration", "alcoves"}),
@@ -450,6 +450,11 @@ README_LOADS = [
      {"cli", "multipartitions", "alcoves", "bgg"}),
     (["locus", "--partition", "3,2"],
      {"cli", "multipartitions", "crystal", "cyclotomics", "seminormal", "unitary_loci"}),
+    (["verify", "classification"],
+     {"cli", "multipartitions", "sweeps", "crystal", "calibration"}),
+    (["verify", "locus"],
+     {"cli", "multipartitions", "sweeps", "crystal", "cyclotomics", "seminormal",
+      "unitary_loci"}),
 ]
 
 
@@ -462,4 +467,6 @@ def test_command_loads_only_its_layers(argv, modules):
                                   ["seminormal", "--e", "5", "--partition", "3,x"],
                                   ["locus"]])
 def test_malformed_command_loads_no_layer(argv):
-    assert _loaded(argv) == (2, {"cli", "multipartitions"})
+    # verify reads its suite names from the sweep table before it rejects one
+    table = {"sweeps"} if argv[0] == "verify" else set()
+    assert _loaded(argv) == (2, {"cli", "multipartitions"} | table)

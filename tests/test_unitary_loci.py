@@ -18,7 +18,7 @@ from calihecke.unitary_loci import (
     unitary_locus,
 )
 from calihecke.multipartitions import count_standard_tableaux, partitions_of
-from calihecke.sweeps import first_failure, locus_sweep
+from calihecke.sweeps import locus_sweep, problems, tally
 
 
 def test_hook_stats_known():
@@ -141,9 +141,8 @@ def test_oracle_respects_calibration():
 
 def test_closed_form_matches_oracle_small():
     # n 2..6, e 2..8, every a coprime to e
-    records = list(locus_sweep(range(2, 7), range(2, 9)))
-    assert len(records) >= 588
-    assert first_failure(records) is None
+    tallies = tally(locus_sweep(range(2, 7), range(2, 9)))
+    assert problems(tallies, {"locus=oracle": 588}) == {"locus=oracle": None}
 
 
 def test_locus_equality_with_other_types():
