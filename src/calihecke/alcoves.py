@@ -11,7 +11,13 @@ assumption e > h is enforced on every entry point.
 
 from functools import lru_cache
 
-from .multipartitions import tableau_boxes_by_entry, tableau_sums
+from .multipartitions import (
+    mp_size,
+    remove_box,
+    removable_boxes,
+    tableau_boxes_by_entry,
+    tableau_sums,
+)
 
 
 def _check_frame(ch, hbar):
@@ -62,21 +68,35 @@ def _pairs(h):
     return [(i, j) for i in range(h) for j in range(i + 1, h)]
 
 
+@lru_cache(maxsize=None)
+def _walls(ch, hbar):
+    """rho of the frame, and for each positive root (i, j) the open window
+    (lo, hi) = (k*e, (k+1)*e) of the origin's inner product <rho, alpha>,
+    or None when the origin lies on one of the root's hyperplanes."""
+    p = rho(ch, hbar)
+    e = ch.e
+    walls = []
+    for i, j in _pairs(len(p)):
+        d0 = p[i] - p[j]
+        window = None if d0 % e == 0 else (d0 // e * e, (d0 // e + 1) * e)
+        walls.append((i, j, window))
+    return p, tuple(walls)
+
+
 def in_fundamental_alcove(mp, ch, hbar):
     """Is lambda + rho in the alcove of the origin (closure-free)?
 
     For each positive root the inner product must avoid all hyperplanes and
-    sit in the same e-window as the origin's.
+    sit in the same e-window as the origin's; the windows are read from the
+    frame's wall table.
     """
-    p = rho(ch, hbar)
-    v = tuple(a + b for a, b in zip(embed(mp, hbar), p))
-    e = ch.e
-    for i, j in _pairs(len(v)):
-        d0 = p[i] - p[j]
-        if d0 % e == 0:
+    p, walls = _walls(ch, tuple(hbar))
+    v = [a + b for a, b in zip(embed(mp, hbar), p)]
+    for i, j, window in walls:
+        if window is None:
             raise ValueError("origin lies on a hyperplane; charge/hbar invalid")
-        d = v[i] - v[j]
-        if d % e == 0 or d // e != d0 // e:
+        lo, hi = window
+        if not lo < v[i] - v[j] < hi:
             return False
     return True
 
@@ -121,17 +141,6 @@ def path_points(p, ch, hbar):
     return out
 
 
-def path_residues(p, ch, hbar):
-    """Residue of each step's box: the new coordinate value plus rho - 1."""
-    base = rho(ch, hbar)
-    count = [0] * len(base)
-    out = []
-    for idx in p:
-        count[idx] += 1
-        out.append((base[idx] + count[idx] - 1) % ch.e)
-    return tuple(out)
-
-
 def _sign(x):
     return (x > 0) - (x < 0)
 
@@ -173,6 +182,56 @@ def count_fundamental_paths(mp, ch, hbar):
     if not in_fundamental_alcove(mp, ch, hbar):
         raise ValueError("shape not in the fundamental alcove")
     return _path_fold(ch, tuple(hbar))(mp).get(0, 0)
+
+
+def fundamental_paths(mp, ch, hbar):
+    """Path^F(mp), sorted, and the residue sequence of each path: two lists
+    paths and residues, empty when no path reaches mp.
+
+    The walk down starts at mp and removes each removable box whose smaller
+    shape the frame's alcove fold reaches, so it meets exactly the prefix
+    shapes of the paths to mp, and no dead end.  The box (r, c, m) added by
+    a step is the path's coordinate index coord_index(r, m, hbar), of
+    residue s_m + c - r mod e.  The walk back up from the empty shape takes
+    each shape's steps in index order, so it lists the paths sorted.
+    """
+    hbar = tuple(hbar)
+    fold = _path_fold(ch, hbar)
+    paths, residues = [], []
+    if not fold(mp):
+        return paths, residues
+    s, e = ch.s, ch.e
+    ups = {}  # prefix shape -> [(index, residue, the shape one step up)]
+    stack = [mp]
+    while stack:
+        shape = stack.pop()
+        for b in removable_boxes(shape):
+            smaller = remove_box(shape, b)
+            if fold(smaller):
+                if smaller not in ups:
+                    ups[smaller] = []
+                    stack.append(smaller)
+                r, c, m = b
+                ups[smaller].append((coord_index(r, m, hbar), (s[m - 1] + c - r) % e, shape))
+    for steps in ups.values():
+        steps.sort()
+    n = mp_size(mp)
+    path, res = [], []
+
+    def walk(shape):
+        if len(path) == n:
+            paths.append(tuple(path))
+            residues.append(tuple(res))
+            return
+        for idx, i, bigger in ups[shape]:
+            path.append(idx)
+            res.append(i)
+            walk(bigger)
+            path.pop()
+            res.pop()
+
+    walk(tuple(() for _ in mp))
+    return paths, residues
 
 
 def b_alpha(i, ch, hbar):

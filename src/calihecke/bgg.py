@@ -15,22 +15,23 @@ from functools import lru_cache
 from .alcoves import (
     _path_fold,
     embed,
+    fundamental_paths,
     in_fundamental_alcove,
     point_length,
     rho,
-    tableau_to_path,
-    path_residues,
 )
 from .multipartitions import (
     count_standard_tableaux,
     mp_size,
     residue_multiset,
-    standard_tableaux,
     dominates,
     multipartitions_of,
     tableau_sums,
     _step_degrees,
 )
+# Nothing here enumerates tableaux: perfbench/selftest.py checks through
+# this binding that its tracer wraps and restores from-imported names.
+from .multipartitions import standard_tableaux  # noqa: F401
 
 
 def _point_to_mp(v, base, hbar):
@@ -65,6 +66,7 @@ class BlockPoset:
         h = len(self.base)
         start = tuple(a + b for a, b in zip(embed(la, hbar), self.base))
         points = {la: start}
+        seen = {start}  # every candidate point met, a multipartition or not
         frontier = [start]
         while frontier:
             v = frontier.pop()
@@ -83,8 +85,11 @@ class BlockPoset:
                         w[i] -= t
                         w[j] += t
                         w = tuple(w)
+                        if w in seen:
+                            continue
+                        seen.add(w)
                         mp = _point_to_mp(w, self.base, hbar)
-                        if mp is not None and mp not in points:
+                        if mp is not None:
                             points[mp] = w
                             frontier.append(w)
         self.points = points
@@ -267,21 +272,20 @@ def graded_character_identity(la, ch, hbar):
 
 
 class KLRModule:
+    """D(lambda) on its basis Path^F(lambda): paths[k] and residues[k] are
+    the k-th basis path, in sorted order, and its residue sequence."""
+
     def __init__(self, la, ch, hbar):
         if ch.e <= 2:
             raise ValueError("quiver Hecke relations require e > 2")
         self.ch, self.hbar = ch, hbar
         self.n = mp_size(la)
-        # the walk keeps a prefix shape when some alcove path reaches it; the
-        # frame's alcove fold tests each prefix shape once
         block(la, ch, hbar)  # the label's entry check
-        self.basis = sorted(standard_tableaux(la, keep=_path_fold(ch, hbar)))
-        self.paths = [tableau_to_path(t, hbar) for t in self.basis]
+        self.paths, self.residues = fundamental_paths(la, ch, hbar)
         self.index = {p: k for k, p in enumerate(self.paths)}
-        self.residues = [path_residues(p, ch, hbar) for p in self.paths]
 
     def dim(self):
-        return len(self.basis)
+        return len(self.paths)
 
     def psi_map(self, k):
         """Column map of psi_k: for each basis index the image index, or -1

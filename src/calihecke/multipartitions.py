@@ -220,19 +220,12 @@ def tableau_from_box_order(mp, order):
     return tuple(tuple(tuple(row) for row in comp) for comp in filling)
 
 
-def standard_tableaux(mp, keep=None):
-    """Yield all standard tableaux of mp (in a deterministic order).
-
-    With a predicate keep(shape), yield only the tableaux all of whose
-    prefix shapes (the empty one and mp included) satisfy it; the walk does
-    not descend past a prefix shape that fails it.
-    """
+def standard_tableaux(mp):
+    """Yield all standard tableaux of mp (in a deterministic order)."""
     n = mp_size(mp)
     order = []
 
     def rec(shape):
-        if keep is not None and not keep(shape):
-            return
         if len(order) == n:
             yield tableau_from_box_order(mp, order)
             return

@@ -11,7 +11,10 @@ that vector times one.
 ``tableau_sum_character`` is the original graded character, a sum over every
 standard tableau of t^degree; ``alcove_filtered_basis`` is the original KLR
 basis, every standard tableau filtered by rebuilding each prefix shape from
-its boxes and testing it against the fundamental alcove.
+its boxes and testing it against the fundamental alcove, and
+``path_residues`` reads a path's residues off its coordinates.
+``in_fundamental_alcove_direct`` is the original alcove test, which
+recomputes rho and the origin's window of every positive root on each call.
 ``sign_assignment_lists`` is the original diamond sign solver, GF(2)
 elimination on rows stored as lists of 0/1 entries.
 ``dominance_block_full`` is the original dominance block, which tests every
@@ -22,7 +25,7 @@ which reduces the whole weight mod e before comparing two of its entries.
 
 from fractions import Fraction
 
-from calihecke.alcoves import in_fundamental_alcove
+from calihecke.alcoves import embed, rho
 from calihecke.bgg import covers, diamonds_and_strands
 from calihecke.cyclotomics import Cyc, cyclotomic_polynomial
 from calihecke.multipartitions import (
@@ -252,6 +255,23 @@ def _prefix_shape(order, ell):
     return tuple(mp)
 
 
+def in_fundamental_alcove_direct(mp, ch, hbar):
+    """Is lambda + rho in the alcove of the origin?  Root by root: the inner
+    product must avoid all hyperplanes and sit in the origin's e-window."""
+    p = rho(ch, hbar)
+    v = tuple(a + b for a, b in zip(embed(mp, hbar), p))
+    e = ch.e
+    for i in range(len(v)):
+        for j in range(i + 1, len(v)):
+            d0 = p[i] - p[j]
+            if d0 % e == 0:
+                raise ValueError("origin lies on a hyperplane; charge/hbar invalid")
+            d = v[i] - v[j]
+            if d % e == 0 or d // e != d0 // e:
+                return False
+    return True
+
+
 def alcove_filtered_basis(la, ch, hbar):
     """The sorted standard tableaux of la all of whose prefix shapes lie in
     the fundamental alcove."""
@@ -260,10 +280,21 @@ def alcove_filtered_basis(la, ch, hbar):
     for t in standard_tableaux(la):
         by_entry = tableau_boxes_by_entry(t)
         order = [by_entry[k] for k in range(1, n + 1)]
-        if all(in_fundamental_alcove(_prefix_shape(order[:k], len(la)), ch, hbar)
+        if all(in_fundamental_alcove_direct(_prefix_shape(order[:k], len(la)), ch, hbar)
                for k in range(n + 1)):
             out.append(t)
     return sorted(out)
+
+
+def path_residues(p, ch, hbar):
+    """Residue of each step's box: the new coordinate value plus rho - 1."""
+    base = rho(ch, hbar)
+    count = [0] * len(base)
+    out = []
+    for idx in p:
+        count[idx] += 1
+        out.append((base[idx] + count[idx] - 1) % ch.e)
+    return tuple(out)
 
 
 def sign_assignment_lists(poset, edges=None):

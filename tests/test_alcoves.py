@@ -1,15 +1,16 @@
+from itertools import product
+
 import pytest
 
-from calihecke import alcoves, multipartitions
 from calihecke.alcoves import (
     b_alpha,
     count_fundamental_paths,
     embed,
+    fundamental_paths,
     in_fundamental_alcove,
     length,
     path_degree,
     path_points,
-    path_residues,
     reflect,
     rho,
     tableau_to_path,
@@ -24,22 +25,14 @@ from calihecke.multipartitions import (
     standard_tableaux,
     tableau_degree,
 )
+from calihecke.sweeps import SUITES, charges, frames
+from oracles import in_fundamental_alcove_direct, path_residues
 
 
 CH = Charge((0, 4), 9)
 HBAR = (2, 4)
 
-
-@pytest.fixture(autouse=True)
-def cold_folds():
-    """Each test starts and ends with empty shared folds, so that a memo
-    built through a monkeypatched in_fundamental_alcove stays inside its
-    test."""
-    for cache in (alcoves._path_fold, multipartitions._count_fold):
-        cache.cache_clear()
-    yield
-    for cache in (alcoves._path_fold, multipartitions._count_fold):
-        cache.cache_clear()
+pytestmark = pytest.mark.usefixtures("cold_caches")
 
 
 def test_rho_known():
@@ -99,6 +92,41 @@ def test_path_residues_match_tableau():
         for t in standard_tableaux(mp):
             p = tableau_to_path(t, HBAR)
             assert path_residues(p, CH, HBAR) == residue_sequence(t, CH)
+    # the walk reads each step's residue off the removed box
+    for mp in (((), (3, 2)), ((), (3, 2, 1))):
+        paths, residues = fundamental_paths(mp, CH, HBAR)
+        assert len(paths) == count_fundamental_paths(mp, CH, HBAR) > 1
+        assert residues == [path_residues(p, CH, HBAR) for p in paths]
+
+
+def _outcome(test, mp, ch, hbar):
+    try:
+        return test(mp, ch, hbar)
+    except ValueError:
+        return ValueError
+
+
+def test_wall_table_matches_direct_alcove_test():
+    # every shape of size <= n_max in the gate's frames, and in the frames
+    # of the same sizes whose origin lies on a wall: there the direct test
+    # raises at the first wall root it reaches, and must raise again on the
+    # second call, when the frame's wall table is cached
+    args, _ = SUITES["klr"][1]["gate"]
+    es, levels, n_max = args
+    gate = {(ch, hb) for ch, _, hb in frames(*args)}
+    on_wall = {(ch, hb) for e in es for ell in levels for ch in charges(e, ell, pinned=False)
+               for hb in product(range(1, 4), repeat=ell) if sum(hb) < e
+               and _outcome(in_fundamental_alcove_direct, ((),) * ell, ch, hb) is ValueError}
+    assert len(gate) == 180 and len(on_wall) == 159 and not gate & on_wall
+    shapes = 0
+    for ch, hb in gate | on_wall:
+        for n in range(n_max + 1):
+            for mp in multipartitions_of(n, len(hb), hb):
+                shapes += 1
+                want = _outcome(in_fundamental_alcove_direct, mp, ch, hb)
+                got = [_outcome(in_fundamental_alcove, mp, ch, hb) for _ in range(2)]
+                assert got == [want, want], (mp, ch, hb)
+    assert shapes == 30657
 
 
 def test_path_degree_equals_tableau_degree():
@@ -133,15 +161,13 @@ def test_fundamental_paths_bounded_by_standard_tableaux():
             cf = count_fundamental_paths(mp, CH, HBAR)
             assert 1 <= cf <= count_standard_tableaux(mp)
             # dual routes: count paths directly through the tableau list, and
-            # through the walk that prunes prefix shapes outside the alcove
+            # through the walk down the frame's alcove fold
             direct = sum(
                 1 for t in standard_tableaux(mp)
                 if all(in_fundamental_alcove(shape, CH, HBAR)
                        for shape in _prefix_shapes(t))
             )
-            pruned = standard_tableaux(
-                mp, keep=lambda shape: in_fundamental_alcove(shape, CH, HBAR))
-            assert cf == direct == sum(1 for _ in pruned)
+            assert cf == direct == len(fundamental_paths(mp, CH, HBAR)[0])
 
 
 def _prefix_shapes(t):

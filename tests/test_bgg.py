@@ -2,12 +2,11 @@ from collections import Counter
 
 import pytest
 
-from calihecke import alcoves, bgg, multipartitions
+from calihecke import alcoves, bgg
 from calihecke.alcoves import (
     count_fundamental_paths,
     in_fundamental_alcove,
     length,
-    path_residues,
     tableau_to_path,
 )
 from calihecke.bgg import (
@@ -28,29 +27,20 @@ from calihecke.multipartitions import (
     heights,
     multipartitions_of,
 )
-from calihecke.sweeps import frames
+from calihecke.sweeps import SUITES, frames
+from conftest import clear_package_caches
 from oracles import (
     alcove_filtered_basis,
     dominance_block_full,
+    path_residues,
     sign_assignment_lists,
     tableau_sum_character,
 )
 
+pytestmark = pytest.mark.usefixtures("cold_caches")
 
-def _clear_folds():
-    for cache in (alcoves._path_fold, bgg._graded_fold, multipartitions._count_fold,
-                  bgg.block):
-        cache.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def cold_folds():
-    """Each test starts and ends with empty shared folds, so that a memo
-    built through a monkeypatched in_fundamental_alcove or _step_degrees
-    stays inside its test."""
-    _clear_folds()
-    yield
-    _clear_folds()
+# the criterion 9-12 range and floors: every label in the fundamental alcove
+GATE_ARGS, GATE_FLOORS = SUITES["klr"][1]["gate"]
 
 
 def _count_alcove_tests(monkeypatch):
@@ -121,7 +111,7 @@ def test_sign_assignment_flips_each_diamond():
 
 def test_bitmask_signs_match_list_oracle():
     labels = diamonds = 0
-    for ch, la, hb in frames(range(2, 7), (1, 2), 8):
+    for ch, la, hb in frames(*GATE_ARGS):
         if not in_fundamental_alcove(la, ch, hb):
             continue
         labels += 1
@@ -134,7 +124,7 @@ def test_bitmask_signs_match_list_oracle():
         for w, y1, y2, z in diamonds_and_strands(poset, edges)[0]:
             diamonds += 1
             assert signs[(w, y1)] * signs[(y1, z)] * signs[(w, y2)] * signs[(y2, z)] == -1
-    assert labels == 1464
+    assert labels == GATE_FLOORS["signs_feasible"]
     assert diamonds > 0
 
 
@@ -190,7 +180,7 @@ def test_klr_module_basics():
 def test_klr_basis_tests_each_prefix_shape_once(monkeypatch):
     la, ch, hbar = ((3, 1), (2,)), Charge((0, 3), 6), (2, 1)
     tested = _count_alcove_tests(monkeypatch)
-    _clear_folds()
+    clear_package_caches()
     mod = build_klr_module(la, ch, hbar)
     assert mod.dim() == 22
     tested[la] -= 1  # the label's own entry check
@@ -208,7 +198,7 @@ def test_block_is_built_once_per_label(monkeypatch):
 
     monkeypatch.setattr(bgg, "BlockPoset", counting_poset)
     tested = _count_alcove_tests(monkeypatch)
-    _clear_folds()
+    clear_package_caches()
     euler = euler_check(la, ch, hbar)
     conventions = graded_character_identity(la, ch, hbar)
     poset = block_poset(la, ch, hbar)
@@ -239,7 +229,7 @@ def test_shared_folds_give_the_same_results_in_either_sweep_order():
               if in_fundamental_alcove(la, ch, hb)]
 
     def results(order):
-        _clear_folds()
+        clear_package_caches()
         out = {}
         for ch, la, hb in order:
             klr = None
@@ -320,20 +310,20 @@ def test_klr_r1_detects_duplicated_and_dropped_fibres(monkeypatch):
 
 def test_prefix_shape_recursions_match_tableau_oracles():
     nodes = set()
-    labels = 0
-    # the criterion 9-11 range: every label in the fundamental alcove
-    for ch, la, hb in frames(range(2, 7), (1, 2), 8):
+    labels = klr_labels = 0
+    for ch, la, hb in frames(*GATE_ARGS):
         if not in_fundamental_alcove(la, ch, hb):
             continue
         labels += 1
         nodes.update((mu, ch) for mu in block_poset(la, ch, hb).nodes)
         if ch.e > 2:
+            klr_labels += 1
             mod = build_klr_module(la, ch, hb)
-            basis = alcove_filtered_basis(la, ch, hb)
-            assert mod.basis == basis, (la, ch)
-            assert mod.residues == [path_residues(tableau_to_path(t, hb), ch, hb)
-                                    for t in basis], (la, ch)
+            paths = sorted(tableau_to_path(t, hb) for t in alcove_filtered_basis(la, ch, hb))
+            assert mod.paths == paths, (la, ch)
+            assert mod.residues == [path_residues(p, ch, hb) for p in paths], (la, ch)
             assert mod.dim() == count_fundamental_paths(la, ch, hb), (la, ch)
     for mu, ch in nodes:
         assert graded_specht_character(mu, ch) == tableau_sum_character(mu, ch), (mu, ch)
-    assert (labels, len(nodes)) == (1464, 1930)
+    assert (labels, klr_labels) == (GATE_FLOORS["euler"], GATE_FLOORS["klr_relations"])
+    assert len(nodes) == 1930

@@ -25,12 +25,15 @@ from calihecke.seminormal import (
     verify_hecke_relations,
     weight_class,
 )
-from calihecke.sweeps import seminormal_modules
+from calihecke.sweeps import SUITES, seminormal_modules
 from oracles import (
     admissible_transposition_reduced,
     column_hecke_relations,
     dense_form_invariance,
 )
+
+# the criterion 4-6 range and floors
+GATE_ARGS, GATE_FLOORS = SUITES["seminormal"][1]["gate"]
 
 
 def test_admissible_transposition_matches_reduced_weight_oracle():
@@ -181,14 +184,14 @@ def test_corrupted_operator_fails_relations():
 
 
 def test_relation_table_matches_column_oracle():
-    # the criterion-6 sweep: every calibrated class, e 2..6, n 1..5, coprime
+    # the gate's criterion-6 sweep: every calibrated class at every coprime
     # a; the verdict memo warms up along the sweep
     checked = 0
-    for mod in seminormal_modules(range(2, 7), range(1, 6)):
+    for mod in seminormal_modules(*GATE_ARGS):
         report = verify_hecke_relations(mod)
         assert list(report.items()) == list(column_hecke_relations(mod).items())
         checked += 1
-    assert checked == 1358
+    assert checked == GATE_FLOORS["hecke_relations"]
 
 
 def test_verdicts_are_memoised_per_local_configuration():
@@ -232,12 +235,12 @@ def test_all_classes_satisfy_relations(e, n):
 
 
 def test_sparse_invariance_matches_dense_oracle():
-    # the criterion-6 sweep: every calibrated class, e 2..6, n 1..5, coprime a
+    # the gate's criterion-6 sweep: every calibrated class at every coprime a
     checked = 0
-    for mod in seminormal_modules(range(2, 7), range(1, 6)):
+    for mod in seminormal_modules(*GATE_ARGS):
         assert verify_form_invariance(mod) == dense_form_invariance(mod)
         checked += 1
-    assert checked == 1358
+    assert checked == GATE_FLOORS["hecke_relations"]
 
 
 def test_corrupted_operator_fails_invariance():
