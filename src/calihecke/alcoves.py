@@ -72,14 +72,16 @@ def _pairs(h):
 def _walls(ch, hbar):
     """rho of the frame, and for each positive root (i, j) the open window
     (lo, hi) = (k*e, (k+1)*e) of the origin's inner product <rho, alpha>,
-    or None when the origin lies on one of the root's hyperplanes."""
+    as rows (i, j, lo, hi); the table is None when the origin lies on a
+    hyperplane of any root."""
     p = rho(ch, hbar)
     e = ch.e
     walls = []
     for i, j in _pairs(len(p)):
         d0 = p[i] - p[j]
-        window = None if d0 % e == 0 else (d0 // e * e, (d0 // e + 1) * e)
-        walls.append((i, j, window))
+        if d0 % e == 0:
+            return p, None
+        walls.append((i, j, d0 // e * e, (d0 // e + 1) * e))
     return p, tuple(walls)
 
 
@@ -88,14 +90,14 @@ def in_fundamental_alcove(mp, ch, hbar):
 
     For each positive root the inner product must avoid all hyperplanes and
     sit in the same e-window as the origin's; the windows are read from the
-    frame's wall table.
+    frame's wall table.  Raises ValueError for every label of a frame whose
+    origin lies on a hyperplane.
     """
     p, walls = _walls(ch, tuple(hbar))
+    if walls is None:
+        raise ValueError("origin lies on a hyperplane; charge/hbar invalid")
     v = [a + b for a, b in zip(embed(mp, hbar), p)]
-    for i, j, window in walls:
-        if window is None:
-            raise ValueError("origin lies on a hyperplane; charge/hbar invalid")
-        lo, hi = window
+    for i, j, lo, hi in walls:
         if not lo < v[i] - v[j] < hi:
             return False
     return True

@@ -13,7 +13,8 @@ column, involves only the orbit of that column under the operators it
 names: at most 6 weights.  Both checks walk the columns one orbit at a
 time and memoise the verdict on the orbit's local submatrices, relabelled
 0..k-1 and written as exact integers, so equal local configurations are
-checked once.
+checked once.  The relations come from one table per (n, e, a), and the
+inverses of X_k and T_i are read from tables.
 """
 
 from functools import lru_cache
@@ -113,23 +114,37 @@ class SeminormalModule:
         return cols
 
     def t_inverse(self, i):
-        """T_i^{-1} = q^{-1} (T_i + (1 - q)), with q^{-1} = zeta^(-a)."""
+        """T_i^{-1} = q^{-1} (T_i + (1 - q)), with q^{-1} = zeta^(-a), once
+        per distinct (diagonal?, entry) of T_i."""
         qinv, shift = Cyc.zeta_power(self.e, -self.a), 1 - self.q
+        seen = {}
         cols = []
         for j, col in enumerate(self.T[i - 1]):
             new = []
-            for idx, coeff in col:
-                c = coeff + shift if idx == j else coeff
-                new.append((idx, qinv * c))
+            for idx, c in col:
+                key = (idx == j, c.num, c.den)
+                if key not in seen:
+                    seen[key] = qinv * (c + shift if idx == j else c)
+                new.append((idx, seen[key]))
             cols.append(new)
         return cols
 
     def x_inverse(self, k):
-        """X_k^{-1}, reading the diagonal of X_k; each distinct entry is
-        inverted once."""
-        diag = [col[0][1] for col in self.X[k - 1]]
-        inverses = {c: c.inv() for c in set(diag)}
-        return [[(j, inverses[c])] for j, c in enumerate(diag)]
+        """X_k^{-1}, reading the diagonal of X_k: zeta^j -> zeta^(-j) from
+        _unit_inverses; any other entry is inverted."""
+        units = _unit_inverses(self.e)
+        cols = []
+        for j, col in enumerate(self.X[k - 1]):
+            c = col[0][1]
+            inverse = units.get(c.num) if c.den == 1 else None
+            cols.append([(j, c.inv() if inverse is None else inverse)])
+        return cols
+
+
+@lru_cache(maxsize=None)
+def _unit_inverses(e):
+    """{numerators of zeta^j: zeta^(-j)} for j in 0..e-1."""
+    return {Cyc.zeta_power(e, j).num: Cyc.zeta_power(e, -j) for j in range(e)}
 
 
 @lru_cache(maxsize=None)
@@ -221,18 +236,30 @@ def _unflatten_columns(e, flat):
     return cols
 
 
-def _relation_shape(lhs, rhs):
-    """The distinct operators of a relation (by identity, in order of first
-    use) and its shape: each side's terms with the scalar as (num, den) or
-    None and each operator as its position among the distinct ones."""
-    ops = list({id(op): op for _, term_ops in lhs + rhs for op in term_ops}.values())
-    position = {id(op): k for k, op in enumerate(ops)}
-
-    def side(terms):
-        return tuple((None if s is None else (s.num, s.den),
-                      tuple(position[id(op)] for op in term_ops)) for s, term_ops in terms)
-
-    return ops, (side(lhs), side(rhs))
+@lru_cache(maxsize=None)
+def _relation_table(n, e, a):
+    """The defining relations at (n, e, a) in report order, as rows (name,
+    slots, shape): slots index the distinct operators, in order of first
+    use, into mod.T + mod.X; shape is each side's terms, the scalar as
+    (num, den) or None and the operators as positions in slots."""
+    zq = Cyc.zeta_power(e, a)
+    q, q1 = (zq.num, zq.den), ((zq - 1).num, (zq - 1).den)  # as (num, den)
+    commute = (((None, (0, 1)),), ((None, (1, 0)),))
+    x = n - 2  # X_k is at x + k
+    # (T_i + 1)(T_i - q) = 0  <=>  T_i^2 = (q - 1) T_i + q
+    rows = [(f"quadratic_{i}", (i - 1,), (((None, (0, 0)),), ((q1, (0,)), (q, ()))))
+            for i in range(1, n)]
+    rows += [(f"braid_{i}", (i - 1, i), (((None, (0, 1, 0)),), ((None, (1, 0, 1)),)))
+             for i in range(1, n - 1)]
+    rows += [(f"distant_{i}_{j}", (i - 1, j - 1), commute)
+             for i in range(1, n) for j in range(i + 2, n)]
+    rows += [(f"xcomm_{i}_{j}", (x + i, x + j), commute)
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for i in range(1, n):
+        rows.append((f"txt_{i}", (i - 1, x + i, x + i + 1), (((None, (0, 1, 0)),), ((q, (2,)),))))
+        rows += [(f"tx_{i}_{j}", (i - 1, x + j), commute)
+                 for j in range(1, n + 1) if j not in (i, i + 1)]
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -252,36 +279,16 @@ def _relation_verdict(e, shape, local):
 
 def verify_hecke_relations(mod):
     """Exact verification of the defining relations on every basis vector:
-    each relation (name, lhs, rhs) holds when every column of its two sides
-    agrees.  The columns are checked one orbit of the relation's operators
-    at a time, each through the verdict memo _relation_verdict."""
-    n, q, q1 = mod.n, mod.q, mod.q - 1
-    T, X = [None] + mod.T, [None] + mod.X  # T[i] is T_i, X[k] is X_k
-
-    def prod(*ops):
-        return [(None, ops)]
-
-    # (T_i + 1)(T_i - q) = 0  <=>  T_i^2 = (q - 1) T_i + q
-    relations = [(f"quadratic_{i}", prod(T[i], T[i]), [(q1, (T[i],)), (q, ())])
-                 for i in range(1, n)]
-    relations += [(f"braid_{i}", prod(T[i], T[i + 1], T[i]), prod(T[i + 1], T[i], T[i + 1]))
-                  for i in range(1, n - 1)]
-    relations += [(f"distant_{i}_{j}", prod(T[i], T[j]), prod(T[j], T[i]))
-                  for i in range(1, n) for j in range(i + 2, n)]
-    relations += [(f"xcomm_{i}_{j}", prod(X[i], X[j]), prod(X[j], X[i]))
-                  for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for i in range(1, n):
-        relations.append((f"txt_{i}", prod(T[i], X[i], T[i]), [(q, (X[i + 1],))]))
-        relations += [(f"tx_{i}_{j}", prod(T[i], X[j]), prod(X[j], T[i]))
-                      for j in range(1, n + 1) if j not in (i, i + 1)]
-
-    def holds(lhs, rhs):
-        ops, shape = _relation_shape(lhs, rhs)
-        return all(_relation_verdict(mod.e, shape,
-                                     tuple(_local(op, orbit, pos) for op in ops))
-                   for orbit, pos in _orbits(ops, mod.dim()))
-
-    return {name: holds(lhs, rhs) for name, lhs, rhs in relations}
+    each row of _relation_table holds when every column of its two sides
+    agrees.  The columns are checked one orbit of the row's operators at a
+    time, each through the verdict memo _relation_verdict."""
+    ops, e, dim = mod.T + mod.X, mod.e, mod.dim()
+    report = {}
+    for name, slots, shape in _relation_table(mod.n, e, mod.a):
+        row = [ops[k] for k in slots]
+        report[name] = all(_relation_verdict(e, shape, tuple(_local(op, orbit, pos) for op in row))
+                           for orbit, pos in _orbits(row, dim))
+    return report
 
 
 def _propagate(cls, e, start, step, inconsistent):

@@ -14,7 +14,8 @@ basis, every standard tableau filtered by rebuilding each prefix shape from
 its boxes and testing it against the fundamental alcove, and
 ``path_residues`` reads a path's residues off its coordinates.
 ``in_fundamental_alcove_direct`` is the original alcove test, which
-recomputes rho and the origin's window of every positive root on each call.
+recomputes rho and the origin's window of every positive root on each call,
+and raises for a frame whose origin lies on a wall before it reads the label.
 ``sign_assignment_lists`` is the original diamond sign solver, GF(2)
 elimination on rows stored as lists of 0/1 entries.
 ``dominance_block_full`` is the original dominance block, which tests every
@@ -256,19 +257,19 @@ def _prefix_shape(order, ell):
 
 
 def in_fundamental_alcove_direct(mp, ch, hbar):
-    """Is lambda + rho in the alcove of the origin?  Root by root: the inner
-    product must avoid all hyperplanes and sit in the origin's e-window."""
+    """Is lambda + rho in the alcove of the origin?  First no root may put
+    the origin on a hyperplane; then, root by root, the inner product must
+    avoid all hyperplanes and sit in the origin's e-window."""
     p = rho(ch, hbar)
-    v = tuple(a + b for a, b in zip(embed(mp, hbar), p))
     e = ch.e
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            d0 = p[i] - p[j]
-            if d0 % e == 0:
-                raise ValueError("origin lies on a hyperplane; charge/hbar invalid")
-            d = v[i] - v[j]
-            if d % e == 0 or d // e != d0 // e:
-                return False
+    pairs = [(i, j) for i in range(len(p)) for j in range(i + 1, len(p))]
+    if any((p[i] - p[j]) % e == 0 for i, j in pairs):
+        raise ValueError("origin lies on a hyperplane; charge/hbar invalid")
+    v = tuple(a + b for a, b in zip(embed(mp, hbar), p))
+    for i, j in pairs:
+        d = v[i] - v[j]
+        if d % e == 0 or d // e != (p[i] - p[j]) // e:
+            return False
     return True
 
 

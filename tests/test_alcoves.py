@@ -108,9 +108,9 @@ def _outcome(test, mp, ch, hbar):
 
 def test_wall_table_matches_direct_alcove_test():
     # every shape of size <= n_max in the gate's frames, and in the frames
-    # of the same sizes whose origin lies on a wall: there the direct test
-    # raises at the first wall root it reaches, and must raise again on the
-    # second call, when the frame's wall table is cached
+    # of the same sizes whose origin lies on a wall: there both tests raise
+    # for every shape, on the second call too, when the frame's wall table
+    # is cached
     args, _ = SUITES["klr"][1]["gate"]
     es, levels, n_max = args
     gate = {(ch, hb) for ch, _, hb in frames(*args)}

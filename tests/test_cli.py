@@ -174,6 +174,16 @@ def test_origin_on_wall_rejected(capsys):
     assert json.loads(err)["error"] == "ORIGIN_ON_WALL"
 
 
+def test_every_label_of_an_on_wall_frame_gives_one_error(capsys):
+    # one frame, hbar = (1, 2), whose origin lies on a wall: the error must
+    # not depend on which root the label leaves the alcove by
+    for la in ("[[2],[1,1]]", "[[1],[1,1]]"):
+        code, out, err = run(capsys, "bgg", "--e", "4", "--charge", "0,1",
+                             "--multipartition", la)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ORIGIN_ON_WALL", la
+
+
 def test_argparse_errors_are_json(capsys):
     for argv in (["classify", "--e", "x", "--charge", "0", "--n", "3"],
                  ["nosuch"], [], ["locus", "--format", "xml"],

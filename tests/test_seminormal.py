@@ -12,6 +12,7 @@ from calihecke.seminormal import (
     _invariance_verdict,
     _relation_verdict,
     _t_entries,
+    _unit_inverses,
     admissible_transposition,
     class_form_signs,
     cyclotomic_membership,
@@ -27,6 +28,7 @@ from calihecke.seminormal import (
 )
 from calihecke.sweeps import SUITES, seminormal_modules
 from oracles import (
+    _compose,
     admissible_transposition_reduced,
     column_hecke_relations,
     dense_form_invariance,
@@ -192,6 +194,54 @@ def test_relation_table_matches_column_oracle():
         assert list(report.items()) == list(column_hecke_relations(mod).items())
         checked += 1
     assert checked == GATE_FLOORS["hecke_relations"]
+
+
+def test_relation_order_matches_column_oracle_up_to_n8():
+    # one module per n beyond the gate's n <= 5: the weight (0, ..., n-2, n)
+    # at e = n + 2, whose class holds n weights
+    for n in range(1, 9):
+        mod = seminormal_module(weight_class(tuple(range(n - 1)) + (n,), n + 2), n + 2)
+        assert mod.dim() == n
+        report = verify_hecke_relations(mod)
+        assert list(report.items()) == list(column_hecke_relations(mod).items()), n
+        assert all(report.values()), n
+
+
+def test_inverses_compose_to_the_identity():
+    # independent of the invariance check, which reads the same inverses
+    # as its dense oracle: op(op^{-1}(w_j)) = w_j on every column of every
+    # gate module
+    checked = 0
+    for mod in seminormal_modules(*GATE_ARGS):
+        pairs = [(mod.T[i - 1], mod.t_inverse(i)) for i in range(1, mod.n)]
+        pairs += [(mod.X[k - 1], mod.x_inverse(k)) for k in range(1, mod.n + 1)]
+        one = Cyc.one(mod.e)
+        for op, inverse in pairs:
+            for j in range(mod.dim()):
+                assert _compose(mod, [op, inverse], j) == {j: one}, (mod.cls, mod.a, j)
+        checked += 1
+    assert checked == GATE_FLOORS["hecke_relations"]
+
+
+def test_t_inverse_shifts_only_the_diagonal_of_equal_entries():
+    # every entry of T_1 set to one value: t_inverse computes each distinct
+    # entry once, and must still shift the diagonal ones alone by 1 - q
+    mod = seminormal_module(weight_class((0, 1, 3, 4), 6), 6)
+    c = mod.T[0][0][0][1]
+    mod.T[0] = [[(i, c) for i, _ in col] for col in mod.T[0]]
+    assert any(len(col) > 1 for col in mod.T[0])
+    qinv, shift = Cyc.zeta_power(6, -1), 1 - mod.q
+    for j, (col, inverse) in enumerate(zip(mod.T[0], mod.t_inverse(1))):
+        assert inverse == [(i, qinv * (c + shift) if i == j else qinv * c) for i, _ in col], j
+
+
+def test_unit_inverse_table_matches_cyc_inverse():
+    for e in range(2, 17):
+        table = _unit_inverses(e)
+        assert len(table) == e
+        for k in range(e):
+            zk = Cyc.zeta_power(e, k)
+            assert table[zk.num] == zk.inv(), (e, k)
 
 
 def test_verdicts_are_memoised_per_local_configuration():
