@@ -48,14 +48,14 @@ def _parse_ints(text, code, what):
     return tuple(int(x) for x in text.split(","))
 
 
-def _parse_charge(args, required=True):
+def _parse_charge(args, a=1, required=True):
     if args.charge is None:
         if required:
             _die_usage("MISSING_CHARGE", "--charge is required")
         return None
     s = _parse_ints(args.charge, "BAD_CHARGE", "charge")
     try:
-        ch = make_charge(s, args.e, args.a)
+        ch = make_charge(s, args.e, a)
     except ValueError as ex:
         _die_usage("BAD_PARAMETERS", str(ex))
     if not is_cylindrical_charge(ch):
@@ -191,7 +191,7 @@ def cmd_seminormal(args):
         "relations_pass": all(relations.values()),
         "invariance_pass": all(invariance.values()),
     }
-    ch = _parse_charge(args, required=False)
+    ch = _parse_charge(args, args.a, required=False)
     if ch is not None:
         report["cyclotomic_member"] = cyclotomic_membership(mod, ch)
     _emit(report, args.format)
@@ -279,40 +279,41 @@ class _Parser(argparse.ArgumentParser):
         _die_usage("BAD_ARGUMENTS", f"{self.prog}: {message}")
 
 
+# the type and default of each option but --format
+_OPTIONS = {"--e": (int, None), "--a": (int, 1), "--charge": (str, None), "--n": (int, None),
+            "--partition": (str, None), "--multipartition": (str, None), "--weight": (str, None)}
+
+# Each subcommand declares only the options it reads (and --format), so a
+# flag it would ignore is a BAD_ARGUMENTS error.
+_COMMANDS = {
+    "classify": (cmd_classify, ("--e", "--charge", "--n")),
+    "seminormal": (cmd_seminormal, ("--e", "--a", "--charge", "--partition", "--weight")),
+    "bgg": (cmd_bgg, ("--e", "--charge", "--multipartition")),
+    "locus": (cmd_locus, ("--partition",)),
+    "verify": (cmd_verify, ()),
+}
+
+
 def main(argv=None):
     parser = _Parser(prog="calihecke")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--e", type=int, default=None)
-        p.add_argument("--a", type=int, default=1)
-        p.add_argument("--charge", type=str, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--partition", type=str, default=None)
-        p.add_argument("--multipartition", type=str, default=None)
-        p.add_argument("--weight", type=str, default=None)
+    for name, (handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        if name == "verify":
+            p.add_argument("suite", nargs="?", default="all")
+        for flag in flags:
+            kind, default = _OPTIONS[flag]
+            p.add_argument(flag, type=kind, default=default)
         p.add_argument("--format", choices=("json", "tsv"), default="json")
 
-    for name in ("classify", "seminormal", "bgg", "locus"):
-        common(sub.add_parser(name))
-    verify = sub.add_parser("verify")
-    verify.add_argument("suite", nargs="?", default="all")
-    common(verify)
-
     args = parser.parse_args(argv)
-    needs_e = args.command in ("classify", "seminormal", "bgg")
-    if needs_e and args.e is None:
-        _die_usage("MISSING_E", "--e is required")
-    if args.e is not None and args.e < 2:
-        _die_usage("BAD_PARAMETERS", "need e >= 2")
-    handlers = {
-        "classify": cmd_classify,
-        "seminormal": cmd_seminormal,
-        "bgg": cmd_bgg,
-        "locus": cmd_locus,
-        "verify": cmd_verify,
-    }
-    return handlers[args.command](args)
+    if "e" in args:  # every command that reads --e needs it
+        if args.e is None:
+            _die_usage("MISSING_E", "--e is required")
+        if args.e < 2:
+            _die_usage("BAD_PARAMETERS", "need e >= 2")
+    return args.handler(args)
 
 
 if __name__ == "__main__":

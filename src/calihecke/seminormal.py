@@ -13,8 +13,9 @@ column, involves only the orbit of that column under the operators it
 names: at most 6 weights.  Both checks walk the columns one orbit at a
 time and memoise the verdict on the orbit's local submatrices, relabelled
 0..k-1 and written as exact integers, so equal local configurations are
-checked once.  The relations come from one table per (n, e, a), and the
-inverses of X_k and T_i are read from tables.
+checked once.  The relations come from one table per (n, e, a).  Form
+invariance is checked as an isometry, M^dagger G M = G for every T_i and
+X_k, so no inverse operator is built.
 """
 
 from functools import lru_cache
@@ -112,39 +113,6 @@ class SeminormalModule:
                 col.append((self.index[tuple(swapped)], off))
             cols.append(col)
         return cols
-
-    def t_inverse(self, i):
-        """T_i^{-1} = q^{-1} (T_i + (1 - q)), with q^{-1} = zeta^(-a), once
-        per distinct (diagonal?, entry) of T_i."""
-        qinv, shift = Cyc.zeta_power(self.e, -self.a), 1 - self.q
-        seen = {}
-        cols = []
-        for j, col in enumerate(self.T[i - 1]):
-            new = []
-            for idx, c in col:
-                key = (idx == j, c.num, c.den)
-                if key not in seen:
-                    seen[key] = qinv * (c + shift if idx == j else c)
-                new.append((idx, seen[key]))
-            cols.append(new)
-        return cols
-
-    def x_inverse(self, k):
-        """X_k^{-1}, reading the diagonal of X_k: zeta^j -> zeta^(-j) from
-        _unit_inverses; any other entry is inverted."""
-        units = _unit_inverses(self.e)
-        cols = []
-        for j, col in enumerate(self.X[k - 1]):
-            c = col[0][1]
-            inverse = units.get(c.num) if c.den == 1 else None
-            cols.append([(j, c.inv() if inverse is None else inverse)])
-        return cols
-
-
-@lru_cache(maxsize=None)
-def _unit_inverses(e):
-    """{numerators of zeta^j: zeta^(-j)} for j in 0..e-1."""
-    return {Cyc.zeta_power(e, j).num: Cyc.zeta_power(e, -j) for j in range(e)}
 
 
 @lru_cache(maxsize=None)
@@ -371,45 +339,51 @@ def is_unitary_class(mod):
 
 
 def verify_form_invariance(mod):
-    """Check < M u, v > = < u, M^{-1} v > for M = T_i and X_i against the
-    exact diagonal Gram form, i.e. G M = (M^{-1})^dagger G with dagger the
-    cyclotomic conjugate-transpose.
+    """Check that every T_i and X_k is an isometry of the exact diagonal
+    Gram form G: < M u, M v > = < u, v >, that is M^dagger G M = G with
+    dagger the cyclotomic conjugate-transpose.  An isometry is invertible,
+    because no form value is 0, so this is < M u, v > = < u, M^{-1} v >
+    without forming M^{-1}.
 
-    (G M)_{ij} = G_i M_{ij} and ((M^{-1})^dagger G)_{ij} = conj(Minv_{ji}) G_j
-    both vanish outside the supports of M and Minv^T, so only entries on
-    their union are compared: O(dim) per operator, since every column holds
-    at most two entries.  An orbit of (M, Minv) holds both ends of every
-    support pair found in its columns, so the pairs are checked one orbit
-    at a time, each through the verdict memo _invariance_verdict."""
+    The columns are checked one orbit of M at a time, each through the
+    verdict memo _invariance_verdict.  Every entry of a column lies in that
+    column's orbit, and an orbit is closed under M, so M^dagger G M is
+    computed exactly on each orbit.  An entry of M^dagger G M whose row k
+    and column j share no orbit needs a row i that columns j and k both
+    hold, with k not reached from i: an entry M_ik whose mirror M_ki is 0,
+    which only a corruption adds.  The orbit of k then holds the closed
+    orbit P of i but not k.  If M^dagger G M = G holds on P, M is
+    invertible there, because no form value is 0, so the entries of column
+    k in the rows of P give column k of M^dagger G M a nonzero entry in a
+    row of P, and the check of the orbit of k fails.  So the orbit checks
+    all pass exactly when M^dagger G M = G."""
     G = [[(j, g)] for j, g in enumerate(form_values(mod))]  # as a diagonal column map
 
-    def invariant(op, op_inv):
-        return all(_invariance_verdict(mod.e, _local(G, orbit, pos), _local(op, orbit, pos),
-                                       _local(op_inv, orbit, pos))
-                   for orbit, pos in _orbits((op, op_inv), mod.dim()))
+    def invariant(op):
+        return all(_invariance_verdict(mod.e, _local(G, orbit, pos), _local(op, orbit, pos))
+                   for orbit, pos in _orbits((op,), mod.dim()))
 
     report = {}
     for i in range(1, mod.n):
-        report[f"T_{i}"] = invariant(mod.T[i - 1], mod.t_inverse(i))
+        report[f"T_{i}"] = invariant(mod.T[i - 1])
     for k in range(1, mod.n + 1):
-        report[f"X_{k}"] = invariant(mod.X[k - 1], mod.x_inverse(k))
+        report[f"X_{k}"] = invariant(mod.X[k - 1])
     return report
 
 
 @lru_cache(maxsize=None)
-def _invariance_verdict(e, g, op, op_inv):
-    """G M = (M^{-1})^dagger G on the support pairs of the local operators,
-    with g the local form values as a diagonal column map (flat tuples, see
-    _local), rebuilt from the key alone."""
-    G = [col[0][1] for col in _unflatten_columns(e, g)]
-    zero = Cyc.zero(e)
-
-    def entries(flat):
-        return {(i, j): c for j, col in enumerate(_unflatten_columns(e, flat)) for i, c in col}
-
-    M, Minv = entries(op), entries(op_inv)
-    return all(G[i] * M.get((i, j), zero) == Minv.get((j, i), zero).conj() * G[j]
-               for i, j in M.keys() | {(j, i) for i, j in Minv})
+def _invariance_verdict(e, g, op):
+    """M^dagger G M = G on every column of the local operator, with g the
+    local form values as a diagonal column map (flat tuples, see _local),
+    rebuilt from the key alone.  Each column of the product goes through
+    _column, as the relations do."""
+    G, M = _unflatten_columns(e, g), _unflatten_columns(e, op)
+    adjoint = [[] for _ in M]
+    for j, col in enumerate(M):
+        for i, c in col:
+            adjoint[i].append((j, c.conj()))
+    product = [(None, (adjoint, G, M))]
+    return all(_column(product, j) == dict(G[j]) for j in range(len(M)))
 
 
 def cyclotomic_membership(mod, ch):

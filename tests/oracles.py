@@ -3,8 +3,9 @@
 ``FracCyc`` is the original Fraction-vector arithmetic in Q(zeta_e): a
 length-e vector of Fractions, reduced by polynomial division modulo Phi_e
 after every product, inverted by the extended Euclidean algorithm over Q.
-``dense_form_invariance`` is the original dense form-invariance check, which
-compares every entry of G M with every entry of (M^{-1})^dagger G.
+``dense_form_invariance`` is the dense form-invariance check, which compares
+every entry of M^dagger G M with the entry of G: each T_i and X_k must be
+an isometry of the diagonal Gram form.
 ``column_hecke_relations`` is the original Hecke-relation check, which
 applies each side's operators to every basis vector in turn, starting from
 that vector times one.
@@ -136,30 +137,37 @@ def power_basis_vector(x):
 
 
 def dense_form_invariance(mod):
-    """G M = (M^{-1})^dagger G on dense dim x dim matrices, entry by entry."""
+    """M^dagger G M = G on dense dim x dim matrices, entry by entry."""
     G = form_values(mod)
     dim = mod.dim()
+    zero = Cyc.zero(mod.e)
 
     def dense(op):
-        mat = [[Cyc.zero(mod.e) for _ in range(dim)] for _ in range(dim)]
+        mat = [[zero for _ in range(dim)] for _ in range(dim)]
         for j, col in enumerate(op):
             for i, c in col:
                 mat[i][j] = c
         return mat
 
-    def invariant(op, op_inv):
-        M, Minv = dense(op), dense(op_inv)
+    def invariant(op):
+        M = dense(op)
         for i in range(dim):
+            # (M^dagger G M)_{ij} = sum_k conj(M_ki) G_k M_kj; column i of M
+            # is read off the dense matrix, without its zeros
+            column = [(k, M[k][i].conj() * G[k]) for k in range(dim) if not M[k][i].is_zero()]
             for j in range(dim):
-                if G[i] * M[i][j] != Minv[j][i].conj() * G[j]:
+                entry = zero
+                for k, c in column:
+                    entry = entry + c * M[k][j]
+                if entry != (G[i] if i == j else zero):
                     return False
         return True
 
     report = {}
     for i in range(1, mod.n):
-        report[f"T_{i}"] = invariant(mod.T[i - 1], mod.t_inverse(i))
+        report[f"T_{i}"] = invariant(mod.T[i - 1])
     for k in range(1, mod.n + 1):
-        report[f"X_{k}"] = invariant(mod.X[k - 1], mod.x_inverse(k))
+        report[f"X_{k}"] = invariant(mod.X[k - 1])
     return report
 
 

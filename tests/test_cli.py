@@ -187,7 +187,14 @@ def test_every_label_of_an_on_wall_frame_gives_one_error(capsys):
 def test_argparse_errors_are_json(capsys):
     for argv in (["classify", "--e", "x", "--charge", "0", "--n", "3"],
                  ["nosuch"], [], ["locus", "--format", "xml"],
-                 ["verify", "locus", "--jobs", "2"]):
+                 ["verify", "locus", "--jobs", "2"],
+                 # a flag of another command: each command declares only
+                 # the options it reads
+                 ["locus", "--partition", "3,2", "--e", "7", "--charge", "0,1"],
+                 ["locus", "--partition", "3,2", "--e", "1"],
+                 ["classify", "--e", "3", "--charge", "0", "--n", "2", "--a", "2"],
+                 ["bgg", "--e", "4", "--charge", "0,1", "--multipartition", "[[1,1],[2]]",
+                  "--a", "3"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "BAD_ARGUMENTS"
@@ -281,9 +288,9 @@ def test_pinned_stdout():
 
 
 # Each subcommand starts from a valid call (verify from an unknown suite, so
-# that no sweep ever runs); one to three flags are then set to malformed or
-# borderline values, or dropped.  Every value is small enough that a valid
-# combination runs in milliseconds.
+# that no sweep ever runs); one to three of its own flags are then set to
+# malformed or borderline values, or dropped.  Every value is small enough
+# that a valid combination runs in milliseconds.
 VALID = {
     "classify": {"--e": "3", "--charge": "0,1", "--n": "2"},
     "seminormal": {"--e": "5", "--a": "2", "--partition": "2,1"},
@@ -305,6 +312,14 @@ FLAG_VALUES = {
     "--weight": ["x", "", "1_0", " 1", "+1", "-1,3", "0,0", "0,1,2", "0,2"],
     "--format": ["xml", "", "json", "tsv"],
 }
+# the flags each subcommand declares
+OWN_FLAGS = {
+    "classify": ["--e", "--charge", "--n", "--format"],
+    "seminormal": ["--e", "--a", "--charge", "--partition", "--weight", "--format"],
+    "bgg": ["--e", "--charge", "--multipartition", "--format"],
+    "locus": ["--partition", "--format"],
+    "verify": ["--format"],
+}
 BAD_SUITES = ["nope", "", "LOCUS", "all,locus"]
 STRAY = ["--bogus", "x", "--e"]
 
@@ -313,7 +328,7 @@ STRAY = ["--bogus", "x", "--e"]
 def malformed_argv(draw):
     command = draw(st.sampled_from(sorted(VALID)))
     flags = dict(VALID[command])
-    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), min_size=1,
+    for flag in draw(st.lists(st.sampled_from(OWN_FLAGS[command]), min_size=1,
                               max_size=3, unique=True)):
         value = draw(st.sampled_from(FLAG_VALUES[flag] + [None]))
         if value is None:

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calihecke import seminormal
 from calihecke.calibration import enumerate_cali
 from calihecke.cyclotomics import Cyc
 from calihecke.multipartitions import Charge
@@ -12,7 +13,6 @@ from calihecke.seminormal import (
     _invariance_verdict,
     _relation_verdict,
     _t_entries,
-    _unit_inverses,
     admissible_transposition,
     class_form_signs,
     cyclotomic_membership,
@@ -27,8 +27,8 @@ from calihecke.seminormal import (
     weight_class,
 )
 from calihecke.sweeps import SUITES, seminormal_modules
+import oracles
 from oracles import (
-    _compose,
     admissible_transposition_reduced,
     column_hecke_relations,
     dense_form_invariance,
@@ -207,44 +207,7 @@ def test_relation_order_matches_column_oracle_up_to_n8():
         assert all(report.values()), n
 
 
-def test_inverses_compose_to_the_identity():
-    # independent of the invariance check, which reads the same inverses
-    # as its dense oracle: op(op^{-1}(w_j)) = w_j on every column of every
-    # gate module
-    checked = 0
-    for mod in seminormal_modules(*GATE_ARGS):
-        pairs = [(mod.T[i - 1], mod.t_inverse(i)) for i in range(1, mod.n)]
-        pairs += [(mod.X[k - 1], mod.x_inverse(k)) for k in range(1, mod.n + 1)]
-        one = Cyc.one(mod.e)
-        for op, inverse in pairs:
-            for j in range(mod.dim()):
-                assert _compose(mod, [op, inverse], j) == {j: one}, (mod.cls, mod.a, j)
-        checked += 1
-    assert checked == GATE_FLOORS["hecke_relations"]
-
-
-def test_t_inverse_shifts_only_the_diagonal_of_equal_entries():
-    # every entry of T_1 set to one value: t_inverse computes each distinct
-    # entry once, and must still shift the diagonal ones alone by 1 - q
-    mod = seminormal_module(weight_class((0, 1, 3, 4), 6), 6)
-    c = mod.T[0][0][0][1]
-    mod.T[0] = [[(i, c) for i, _ in col] for col in mod.T[0]]
-    assert any(len(col) > 1 for col in mod.T[0])
-    qinv, shift = Cyc.zeta_power(6, -1), 1 - mod.q
-    for j, (col, inverse) in enumerate(zip(mod.T[0], mod.t_inverse(1))):
-        assert inverse == [(i, qinv * (c + shift) if i == j else qinv * c) for i, _ in col], j
-
-
-def test_unit_inverse_table_matches_cyc_inverse():
-    for e in range(2, 17):
-        table = _unit_inverses(e)
-        assert len(table) == e
-        for k in range(e):
-            zk = Cyc.zeta_power(e, k)
-            assert table[zk.num] == zk.inv(), (e, k)
-
-
-def test_verdicts_are_memoised_per_local_configuration():
+def test_verdicts_are_memoised_per_local_configuration(monkeypatch):
     cls = weight_class((0, 1, 3, 4), 6)
     _relation_verdict.cache_clear()
     _invariance_verdict.cache_clear()
@@ -258,6 +221,17 @@ def test_verdicts_are_memoised_per_local_configuration():
     assert all(verify_form_invariance(seminormal_module(cls, 6)).values())
     assert _relation_verdict.cache_info().misses == relations.misses
     assert _invariance_verdict.cache_info().misses == invariance.misses
+    # the form values belong to the local configuration: M^dagger G M = G
+    # holds for every multiple of G, but not after one value of G is doubled
+    mod = seminormal_module(cls, 6)
+    values = form_values(mod)
+    j = min(j for j, col in enumerate(mod.T[0]) if len(col) > 1)
+    values[j] = values[j] + values[j]
+    for module in (seminormal, oracles):
+        monkeypatch.setattr(module, "form_values", lambda _: values)
+    report = verify_form_invariance(mod)
+    assert report == dense_form_invariance(mod)
+    assert not report["T_1"] and all(report[f"X_{k}"] for k in range(1, mod.n + 1))
 
 
 def test_class_count_matches_calibrated_multipartitions():
@@ -299,7 +273,7 @@ def test_corrupted_operator_fails_invariance():
     # in the verdict memo when the corrupted ones are checked
     assert all(verify_form_invariance(seminormal_module(cls, 4)).values())
     cases = (("T_1", "diagonal"), ("T_1", "off-diagonal"), ("T_1", "new entry"),
-             ("X_1", "new entry"), ("X_1", "inverse entry"))
+             ("T_1", "entry in an earlier orbit"), ("X_1", "new entry"))
     for op, corrupt in cases:
         mod = seminormal_module(cls, 4)
         ops = mod.T if op[0] == "T" else mod.X
@@ -315,16 +289,26 @@ def test_corrupted_operator_fails_invariance():
             j, c = col[1]
             col[1] = (j, c + 1)
         elif corrupt == "new entry":
-            # x_inverse reads only the diagonal, so for X_1 the entry is
-            # outside the support of the inverse as well
             col.append((k, Cyc.one(4)))
-        else:  # an entry only the inverse has
-            x_inverse = mod.x_inverse
-            mod.x_inverse = lambda i: [c + [(k, Cyc.one(4))] if j == 0 else c
-                                       for j, c in enumerate(x_inverse(i))]
+        else:
+            # column k gets row 0, whose orbit the walk visits first and
+            # which does not reach k
+            ops[0][k].append((0, Cyc.one(4)))
         sparse, dense = verify_form_invariance(mod), dense_form_invariance(mod)
         assert sparse == dense
         assert not sparse[op]
+    # T_1 + c with c^2 = q passes G M = (M^{-1})^dagger G when M^{-1} is
+    # taken as q^{-1}(M + 1 - q), which is the inverse only of an operator
+    # that satisfies the quadratic relation; it is not an isometry
+    for e, a in ((5, 1), (5, 2), (7, 3)):
+        mod = seminormal_module(weight_class((0, 2, 1, 3), e), e, a)
+        c = Cyc.zeta_power(e, a * (e + 1) // 2)
+        assert c * c == mod.q
+        mod.T[0] = [[(i, x + c if i == j else x) for i, x in col]
+                    for j, col in enumerate(mod.T[0])]
+        sparse = verify_form_invariance(mod)
+        assert sparse == dense_form_invariance(mod)
+        assert [name for name, ok in sparse.items() if not ok] == ["T_1"], (e, a)
 
 
 def test_cached_form_ratio_matches_the_formula():
@@ -357,7 +341,6 @@ def corrupted_modules(draw):
     col = op[draw(st.integers(min_value=0, max_value=mutant.dim() - 1))]
     row = draw(st.integers(min_value=0, max_value=mutant.dim() - 1))
     rows = [i for i, _ in col]
-    # 2 is never -zeta^k, so a moved X entry stays invertible
     if row in rows:
         p = rows.index(row)
         col[p] = (row, col[p][1] + 2)
