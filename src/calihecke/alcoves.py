@@ -11,13 +11,7 @@ assumption e > h is enforced on every entry point.
 
 from functools import lru_cache
 
-from .multipartitions import (
-    mp_size,
-    remove_box,
-    removable_boxes,
-    tableau_boxes_by_entry,
-    tableau_sums,
-)
+from .multipartitions import tableau_boxes_by_entry, tableau_sums
 
 
 def _check_frame(ch, hbar):
@@ -172,9 +166,10 @@ def path_degree(p, ch, hbar):
 @lru_cache(maxsize=None)
 def _path_fold(ch, hbar):
     """The fold over prefix shapes that keeps the shapes in the fundamental
-    alcove of the frame (ch, hbar): fold(mp) = {0: |Path^F(mp)|}, or {} when
-    no such path reaches mp.  One fold per frame, so the labels of a frame
-    test each prefix shape against the alcove once between them."""
+    alcove of the frame (ch, hbar): fold(mp) = |Path^F(mp)|, 0 when no such
+    path reaches mp.  One fold per frame, so the labels of a frame
+    test each prefix shape against the alcove once between them; the KLR
+    check (bgg._klr_fold) reads the frame's windows off it."""
     return tableau_sums(keep=lambda shape: in_fundamental_alcove(shape, ch, hbar))
 
 
@@ -183,57 +178,7 @@ def count_fundamental_paths(mp, ch, hbar):
     fundamental alcove."""
     if not in_fundamental_alcove(mp, ch, hbar):
         raise ValueError("shape not in the fundamental alcove")
-    return _path_fold(ch, tuple(hbar))(mp).get(0, 0)
-
-
-def fundamental_paths(mp, ch, hbar):
-    """Path^F(mp), sorted, and the residue sequence of each path: two lists
-    paths and residues, empty when no path reaches mp.
-
-    The walk down starts at mp and removes each removable box whose smaller
-    shape the frame's alcove fold reaches, so it meets exactly the prefix
-    shapes of the paths to mp, and no dead end.  The box (r, c, m) added by
-    a step is the path's coordinate index coord_index(r, m, hbar), of
-    residue s_m + c - r mod e.  The walk back up from the empty shape takes
-    each shape's steps in index order, so it lists the paths sorted.
-    """
-    hbar = tuple(hbar)
-    fold = _path_fold(ch, hbar)
-    paths, residues = [], []
-    if not fold(mp):
-        return paths, residues
-    s, e = ch.s, ch.e
-    ups = {}  # prefix shape -> [(index, residue, the shape one step up)]
-    stack = [mp]
-    while stack:
-        shape = stack.pop()
-        for b in removable_boxes(shape):
-            smaller = remove_box(shape, b)
-            if fold(smaller):
-                if smaller not in ups:
-                    ups[smaller] = []
-                    stack.append(smaller)
-                r, c, m = b
-                ups[smaller].append((coord_index(r, m, hbar), (s[m - 1] + c - r) % e, shape))
-    for steps in ups.values():
-        steps.sort()
-    n = mp_size(mp)
-    path, res = [], []
-
-    def walk(shape):
-        if len(path) == n:
-            paths.append(tuple(path))
-            residues.append(tuple(res))
-            return
-        for idx, i, bigger in ups[shape]:
-            path.append(idx)
-            res.append(i)
-            walk(bigger)
-            path.pop()
-            res.pop()
-
-    walk(tuple(() for _ in mp))
-    return paths, residues
+    return _path_fold(ch, tuple(hbar))(mp)
 
 
 def b_alpha(i, ch, hbar):

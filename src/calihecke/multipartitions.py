@@ -246,14 +246,13 @@ def tableau_sums(steps=None, keep=None):
     Returns F: shape -> {degree: count}, the number of standard tableaux of
     the shape by degree, where a tableau's degree is the sum of its step
     degrees: F(empty) = {0: 1} and F(shape) = sum over removable b of
-    t^steps(shape)[b] F(shape - b).  Without steps every step has degree 0.
-    With a predicate keep(shape), F(shape) = {} when it fails, so only the
-    tableaux all of whose prefix shapes satisfy keep are counted.  F memoises
-    every prefix shape it meets for as long as F lives, so one F evaluated
-    at shapes that share sub-shapes visits (and tests with keep) each once.
+    t^steps(shape)[b] F(shape - b).  Without steps there is no degree, and
+    F(shape) is the number itself, an int.  With a predicate keep(shape),
+    F(shape) = {} (or 0) when it fails, so only the tableaux all of whose
+    prefix shapes satisfy keep are counted.  F memoises every prefix shape
+    it meets for as long as F lives, so one F evaluated at shapes that share
+    sub-shapes visits (and tests with keep) each once.
     """
-    if steps is None:
-        steps = lambda shape: dict.fromkeys(removable_boxes(shape), 0)
     memo = {}
 
     def fold(shape):
@@ -261,14 +260,16 @@ def tableau_sums(steps=None, keep=None):
         if out is not None:
             return out
         if keep is not None and not keep(shape):
-            out = {}
-        elif any(shape):
+            out = 0 if steps is None else {}
+        elif not any(shape):
+            out = 1 if steps is None else {0: 1}
+        elif steps is None:
+            out = sum(fold(remove_box(shape, b)) for b in removable_boxes(shape))
+        else:
             out = {}
             for b, d in steps(shape).items():
                 for k, x in fold(remove_box(shape, b)).items():
                     out[k + d] = out.get(k + d, 0) + x
-        else:
-            out = {0: 1}
         memo[shape] = out
         return out
 
@@ -283,7 +284,7 @@ def _count_fold():
 
 
 def count_standard_tableaux(mp):
-    return _count_fold()(mp)[0]
+    return _count_fold()(mp)
 
 
 def reverse_column_reading_tableau(mp, m=1):

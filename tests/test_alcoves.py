@@ -6,7 +6,6 @@ from calihecke.alcoves import (
     b_alpha,
     count_fundamental_paths,
     embed,
-    fundamental_paths,
     in_fundamental_alcove,
     length,
     path_degree,
@@ -26,7 +25,7 @@ from calihecke.multipartitions import (
     tableau_degree,
 )
 from calihecke.sweeps import SUITES, charges, frames
-from oracles import in_fundamental_alcove_direct, path_residues
+from oracles import fundamental_paths, in_fundamental_alcove_direct, path_residues
 
 
 CH = Charge((0, 4), 9)

@@ -26,11 +26,15 @@ from calihecke.multipartitions import (
     count_standard_tableaux,
     heights,
     multipartitions_of,
+    tableau_sums,
 )
 from calihecke.sweeps import SUITES, frames
 from conftest import clear_package_caches
 from oracles import (
+    ColumnKLRModule,
     alcove_filtered_basis,
+    braid_correction,
+    column_klr_relations,
     dominance_block_full,
     path_residues,
     sign_assignment_lists,
@@ -295,16 +299,21 @@ def test_dominance_block_tests_only_shapes_of_the_frame(monkeypatch):
 
 
 def test_klr_r1_detects_duplicated_and_dropped_fibres(monkeypatch):
-    mod = build_klr_module(((2, 1), (1,)), Charge((0, 2), 5), (2, 1))
+    # the window check states R1_sum and R1_orth by construction (the e(i)
+    # are fibre indicators); the oracle lists the fibres, so a listing that
+    # repeats or drops one fails there
+    la, ch, hbar = ((2, 1), (1,)), Charge((0, 2), 5), (2, 1)
+    report = verify_klr_relations(build_klr_module(la, ch, hbar))
+    assert report["R1_sum"] and report["R1_orth"]
+    mod = ColumnKLRModule(la, ch, hbar)
     seqs = mod.residue_sequences()
     assert len(seqs) >= 2
-    report = verify_klr_relations(mod)
-    assert report["R1_sum"] and report["R1_orth"]
+    assert column_klr_relations(mod) == report
     monkeypatch.setattr(mod, "residue_sequences", lambda: seqs + seqs[:1])
-    report = verify_klr_relations(mod)
+    report = column_klr_relations(mod)
     assert not report["R1_orth"] and report["R1_sum"]
     monkeypatch.setattr(mod, "residue_sequences", lambda: seqs[1:])
-    report = verify_klr_relations(mod)
+    report = column_klr_relations(mod)
     assert not report["R1_sum"] and report["R1_orth"]
 
 
@@ -318,12 +327,79 @@ def test_prefix_shape_recursions_match_tableau_oracles():
         nodes.update((mu, ch) for mu in block_poset(la, ch, hb).nodes)
         if ch.e > 2:
             klr_labels += 1
-            mod = build_klr_module(la, ch, hb)
+            mod = ColumnKLRModule(la, ch, hb)
             paths = sorted(tableau_to_path(t, hb) for t in alcove_filtered_basis(la, ch, hb))
             assert mod.paths == paths, (la, ch)
             assert mod.residues == [path_residues(p, ch, hb) for p in paths], (la, ch)
+            assert build_klr_module(la, ch, hb).dim() == len(paths), (la, ch)
             assert mod.dim() == count_fundamental_paths(la, ch, hb), (la, ch)
     for mu, ch in nodes:
         assert graded_specht_character(mu, ch) == tableau_sum_character(mu, ch), (mu, ch)
     assert (labels, klr_labels) == (GATE_FLOORS["euler"], GATE_FLOORS["klr_relations"])
     assert len(nodes) == 1930
+
+
+def test_window_report_matches_column_oracle():
+    # every gate KLR label, then the dimension-76,096 label, whose oracle
+    # lists every path and composes the psi column maps
+    labels = 0
+    for ch, la, hb in frames(*GATE_ARGS):
+        if ch.e > 2 and in_fundamental_alcove(la, ch, hb):
+            labels += 1
+            mod = build_klr_module(la, ch, hb)
+            assert verify_klr_relations(mod) == column_klr_relations(ColumnKLRModule(la, ch, hb)), (la, ch)
+    assert labels == GATE_FLOORS["klr_relations"]
+    la, ch, hb = ((3, 3, 3), (4, 4, 3)), Charge((0, 4), 8), (3, 3)
+    mod, oracle = build_klr_module(la, ch, hb), ColumnKLRModule(la, ch, hb)
+    assert mod.dim() == oracle.dim() == 76096
+    report = verify_klr_relations(mod)
+    assert list(report) == ["R1_sum", "R1_orth", "R1_intertwine", "R2", "R3", "R4", "R5",
+                            "cyclotomic"]
+    assert report == column_klr_relations(oracle)
+    assert all(report.values())
+
+
+def test_a_swap_that_leaves_the_fold_fails_closure(monkeypatch):
+    # drop the shape ((1, 1), ()) from the frame's alcove fold: the far swap
+    # of the window ((1,), ()) -> (1,) -> ((1,), (1,)) then leaves it, two
+    # steps below the label, where the oracle's psi_map raises KeyError
+    la, ch, hbar = ((3, 1), (2,)), Charge((0, 3), 6), (2, 1)
+    dropped = ((1, 1), ())
+    real = bgg._path_fold
+    assert real(ch, hbar)(dropped)
+    patched = tableau_sums(keep=lambda shape: shape != dropped
+                           and in_fundamental_alcove(shape, ch, hbar))
+    monkeypatch.setattr(bgg, "_path_fold",
+                        lambda c, h: patched if (c, h) == (ch, hbar) else real(c, h))
+    mod = build_klr_module(la, ch, hbar)
+    assert mod.dim() == 17
+    report = verify_klr_relations(mod)
+    assert not report["R1_intertwine"]
+    assert not report["R2"] and not report["R4"]  # they rest on closure
+    assert all(report[key] for key in ("R1_sum", "R1_orth", "R3", "R5", "cyclotomic"))
+    # the verdicts stay with their frame: the label ((2, 1), ()), which
+    # fails above, holds in the frame of the same charge with hbar (3, 1)
+    assert not all(verify_klr_relations(build_klr_module(((2, 1), ()), ch, hbar)).values())
+    other = build_klr_module(((2, 1), ()), ch, (3, 1))
+    assert other.dim() == 2 and all(verify_klr_relations(other).values())
+
+
+def test_braid_correction_matches_the_oracle():
+    for e in range(3, 9):
+        for x in range(e):
+            for y in range(e):
+                for z in range(e):
+                    assert bgg._braid_correction(x, y, z, e) == braid_correction(x, y, z, e)
+    assert bgg._braid_correction(1, 0, 1, 5) == -1 and bgg._braid_correction(4, 0, 4, 5) == 1
+
+
+def test_klr_verdicts_are_shared_by_the_labels_of_a_frame(monkeypatch):
+    # after the label's check, a label among its prefix shapes reads its
+    # verdict from the frame's memo and walks no down-step
+    ch, hbar = Charge((0, 3), 6), (2, 1)
+    verify_klr_relations(build_klr_module(((3, 1), (2,)), ch, hbar))
+    walked = []
+    real = bgg.removable_boxes
+    monkeypatch.setattr(bgg, "removable_boxes", lambda shape: walked.append(shape) or real(shape))
+    report = verify_klr_relations(build_klr_module(((2, 1), (1,)), ch, hbar))
+    assert all(report.values()) and walked == []
