@@ -37,9 +37,9 @@ def embed(mp, hbar):
     if any(len(comp) > h for comp, h in zip(mp, hbar)):
         raise ValueError("component height exceeds hbar")
     out = []
-    for m in range(len(hbar), 0, -1):
-        comp = mp[m - 1]
-        out.extend(comp[k] if k < len(comp) else 0 for k in range(hbar[m - 1]))
+    for m in range(len(hbar) - 1, -1, -1):
+        out += mp[m]
+        out += (0,) * (hbar[m] - len(mp[m]))
     return tuple(out)
 
 
@@ -64,19 +64,31 @@ def _pairs(h):
 
 @lru_cache(maxsize=None)
 def _walls(ch, hbar):
-    """rho of the frame, and for each positive root (i, j) the open window
-    (lo, hi) = (k*e, (k+1)*e) of the origin's inner product <rho, alpha>,
-    as rows (i, j, lo, hi); the table is None when the origin lies on a
-    hyperplane of any root."""
+    """The table of the frame (ch, hbar): rho, the walls, and the chains.
+
+    - walls: for each positive root (i, j) the open window
+      (lo, hi) = (k*e, (k+1)*e) of the origin's inner product <rho, alpha>,
+      as rows (i, j, lo, hi); None when the origin lies on a hyperplane of
+      any root;
+    - chains: for each coordinate k, the coordinates (above, below) next
+      to it in its component's block, -1 at the block's ends.  A shifted
+      point is a multipartition point when it is strictly decreasing along
+      each block and its last coordinate in each block is at least rho's.
+    """
     p = rho(ch, hbar)
     e = ch.e
+    chains = []
+    for m in range(len(hbar), 0, -1):
+        start, h = len(chains), hbar[m - 1]
+        chains.extend((k - 1 if k > start else -1, k + 1 if k < start + h - 1 else -1)
+                      for k in range(start, start + h))
     walls = []
     for i, j in _pairs(len(p)):
         d0 = p[i] - p[j]
         if d0 % e == 0:
-            return p, None
+            return p, None, tuple(chains)
         walls.append((i, j, d0 // e * e, (d0 // e + 1) * e))
-    return p, tuple(walls)
+    return p, tuple(walls), tuple(chains)
 
 
 def in_fundamental_alcove(mp, ch, hbar):
@@ -87,7 +99,7 @@ def in_fundamental_alcove(mp, ch, hbar):
     frame's wall table.  Raises ValueError for every label of a frame whose
     origin lies on a hyperplane.
     """
-    p, walls = _walls(ch, tuple(hbar))
+    p, walls, _ = _walls(ch, tuple(hbar))
     if walls is None:
         raise ValueError("origin lies on a hyperplane; charge/hbar invalid")
     v = [a + b for a, b in zip(embed(mp, hbar), p)]

@@ -6,6 +6,14 @@ once, and the folds over prefix shapes are shared wider: the alcove fold
 and the KLR verdicts by every label of a frame (ch, hbar), the graded fold
 by every label of a charge, the tableau count by all.
 
+One orbit walk builds a label's block: its nodes, and for each node the
+nodes one affine reflection away.  The covers are the reflection pairs
+whose lengths differ by one, since two nodes that differ along a root and
+are no reflection pair differ by a translation, which changes the length
+by an even number.  The diamond signs are one GF(2) solve over the edges'
+diamond-incidence columns, taken in edge order: its answer is the unique
+solution supported on the greedy column basis, every other edge +1.
+
 The KLR relations are checked on windows, not on paths.  psi_k changes
 only steps k and k+1 of a basis path of D(lambda), so every relation reads
 at most three consecutive steps with the rest of the path fixed: R3 and
@@ -24,10 +32,10 @@ from functools import lru_cache, partial
 
 from .alcoves import (
     _path_fold,
+    _walls,
     embed,
     in_fundamental_alcove,
     point_length,
-    rho,
 )
 from .multipartitions import (
     count_standard_tableaux,
@@ -47,17 +55,13 @@ from .multipartitions import standard_tableaux  # noqa: F401
 
 
 def _point_to_mp(v, base, hbar):
-    """Recover a multipartition from coordinates, or None if invalid."""
+    """The multipartition of a shifted point that is a multipartition point."""
     rows = [a - b for a, b in zip(v, base)]
     mp = []
     pos = 0
     for m in range(len(hbar), 0, -1):
         block = rows[pos : pos + hbar[m - 1]]
         pos += hbar[m - 1]
-        if any(x < 0 for x in block):
-            return None
-        if any(block[k] < block[k + 1] for k in range(len(block) - 1)):
-            return None
         while block and block[-1] == 0:
             block.pop()
         mp.append(tuple(block))
@@ -66,54 +70,67 @@ def _point_to_mp(v, base, hbar):
 
 class BlockPoset:
     """Orbit of lambda + rho under the shifted affine Weyl group,
-    intersected with valid multipartition points; nodes carry lengths."""
+    intersected with valid multipartition points; nodes carry lengths, and
+    reflections[mu] lists the nodes that one affine reflection takes mu to.
+
+    The walk reflects each point v in every hyperplane <x, eps_i - eps_j> =
+    r*e that keeps the new row lengths v_j + r*e - rho_i and v_i - r*e -
+    rho_j in [0, n], and judges the reflected point by the two coordinates
+    it changed: each must stay strictly between its neighbours in its
+    component's block (the frame's chains).
+    """
 
     def __init__(self, la, ch, hbar):
         if not in_fundamental_alcove(la, ch, hbar):
             raise ValueError("base point must lie in the fundamental alcove")
         self.ch, self.hbar = ch, hbar
-        self.base = rho(ch, hbar)
+        base, _, chains = _walls(ch, hbar)
+        self.base = base
         n = mp_size(la)
         e = ch.e
-        h = len(self.base)
-        start = tuple(a + b for a, b in zip(embed(la, hbar), self.base))
+        h = len(base)
+        start = tuple(a + b for a, b in zip(embed(la, hbar), base))
         points = {la: start}
-        seen = {start}  # every candidate point met, a multipartition or not
+        label = {start: la}  # point -> its multipartition
+        reflections = {}
         frontier = [start]
         while frontier:
             v = frontier.pop()
+            out = reflections[label[v]] = []
             for i in range(h):
+                vi, (a, b) = v[i], chains[i]
                 for j in range(i + 1, h):
-                    # new v_i = v_j + r*e must stay a valid shifted row length
-                    lo = self.base[i] - v[j]
-                    hi = self.base[i] + n - v[j]
-                    r_lo = -(-lo // e)
-                    r_hi = hi // e
+                    vj, (c, d) = v[j], chains[j]
+                    # the new v_i = vj + r*e and v_j = vi - r*e
+                    r_lo = -((vj - base[i]) // e)
+                    r_hi = min((base[i] + n - vj) // e, (vi - base[j]) // e)
                     for r in range(r_lo, r_hi + 1):
-                        t = v[i] - v[j] - r * e
-                        if t == 0:
+                        wi = vj + r * e
+                        if wi == vi:
                             continue
-                        w = list(v)
-                        w[i] -= t
-                        w[j] += t
-                        w = tuple(w)
-                        if w in seen:
+                        wj = vi - r * e
+                        if a >= 0 and v[a] <= wi or c >= 0 and (wi if c == i else v[c]) <= wj:
                             continue
-                        seen.add(w)
-                        mp = _point_to_mp(w, self.base, hbar)
-                        if mp is not None:
-                            points[mp] = w
+                        if b >= 0 and (wj if b == j else v[b]) >= wi or d >= 0 and v[d] >= wj:
+                            continue
+                        w = v[:i] + (wi,) + v[i + 1 : j] + (wj,) + v[j + 1 :]
+                        mu = label.get(w)
+                        if mu is None:
+                            mu = label[w] = _point_to_mp(w, base, hbar)
+                            points[mu] = w
                             frontier.append(w)
+                        out.append(mu)
         self.points = points
-        self.lengths = {mp: point_length(v, self.base, e) for mp, v in points.items()}
+        self.reflections = reflections
+        self.lengths = {mp: point_length(v, base, e) for mp, v in points.items()}
         self.nodes = sorted(points, key=lambda mp: (self.lengths[mp], mp))
 
 
 class Block:
     """What the BGG checks read about one label lambda, built once.
 
-    - poset: the BlockPoset of lambda, whose construction is the one check
-      that lambda lies in the fundamental alcove;
+    - poset: the BlockPoset of lambda, whose construction checks that
+      lambda lies in the fundamental alcove;
     - n_paths = |Path^F(lambda)|, read off the alcove fold of the frame,
       which the KLR basis walk reads too.
     """
@@ -155,16 +172,21 @@ def dominance_block(la, ch, hbar):
 
 def covers(poset):
     """Edges (mu, nu) with length(nu) = length(mu) - 1 and mu, nu related by
-    an affine reflection (coordinate difference proportional to a root)."""
+    an affine reflection, ordered by the node index of mu, then of nu.
+
+    They are read off the orbit walk's reflections.  Two nodes whose
+    coordinates differ by t(eps_i - eps_j) are either a reflection pair or
+    a translation along the root, and a translation changes the length by
+    an even number, so the pairs of the walk are every such pair of
+    lengths one apart.
+    """
+    index = {mu: k for k, mu in enumerate(poset.nodes)}
+    lengths = poset.lengths
     edges = []
     for mu in poset.nodes:
-        for nu in poset.nodes:
-            if poset.lengths[nu] != poset.lengths[mu] - 1:
-                continue
-            diff = [a - b for a, b in zip(poset.points[mu], poset.points[nu])]
-            support = [k for k, x in enumerate(diff) if x]
-            if len(support) == 2 and diff[support[0]] == -diff[support[1]]:
-                edges.append((mu, nu))
+        below = lengths[mu] - 1
+        bottoms = sorted(index[nu] for nu in poset.reflections[mu] if lengths[nu] == below)
+        edges.extend((mu, poset.nodes[k]) for k in bottoms)
     return edges
 
 
@@ -194,42 +216,45 @@ def diamonds_and_strands(poset, edges=None):
 
 
 def sign_assignment(poset, edges=None):
-    """Edge signs with product -1 around every diamond, by GF(2) elimination
+    """Edge signs with product -1 around every diamond, as a GF(2) system
     (sign -1 <-> bit 1).  Returns a map edge -> +-1, or None if infeasible.
 
-    A row is one int: bit k for edge k, bit len(edges) for the right-hand
-    side, so eliminating is one XOR of whole rows.  Column by column, the
-    pivot is the first row that is not yet a pivot and has the column's bit.
+    The solution is the unique one supported on the greedy column basis:
+    the edges whose diamond-incidence column is independent of the columns
+    of the edges before them, every other edge +1.  A column is one int,
+    bit d for diamond d.  Each is reduced into an XOR basis keyed by lowest
+    set bit, whose entries carry the set of edges they combine, and the
+    all-ones right-hand side is reduced last; a remainder that cannot be
+    reduced means no solution.
     """
     if edges is None:
         edges = covers(poset)
     diamonds, _ = diamonds_and_strands(poset, edges)
     index = {edge: k for k, edge in enumerate(edges)}
-    rhs = 1 << len(edges)
-    rows = []
-    for w, y1, y2, z in diamonds:
-        row = rhs
+    columns = [0] * len(edges)
+    for d, (w, y1, y2, z) in enumerate(diamonds):
+        bit = 1 << d
         for edge in ((w, y1), (y1, z), (w, y2), (y2, z)):
-            row ^= 1 << index[edge]
-        rows.append(row)
-    # Gauss-Jordan elimination over GF(2)
-    free = list(range(len(rows)))  # rows that are not pivots, in order
-    for col in range(len(edges)):
-        bit = 1 << col
-        p = next((k for k in free if rows[k] & bit), None)
-        if p is None:
-            continue
-        free.remove(p)
-        pivot = rows[p]
-        for k, r in enumerate(rows):
-            if r & bit and k != p:
-                rows[k] = r ^ pivot
-    if rhs in rows:  # 0 = 1
-        return None
+            columns[index[edge]] ^= bit
+    basis = {}  # lowest bit -> (column, edges combined in it)
+    for k, col in enumerate(columns):
+        combined = 1 << k
+        while col:
+            low = col & -col
+            entry = basis.get(low)
+            if entry is None:
+                basis[low] = (col, combined)
+                break
+            col ^= entry[0]
+            combined ^= entry[1]
+    rhs = (1 << len(diamonds)) - 1
     bits = 0
-    for r in rows:
-        if r & rhs and r != rhs:
-            bits |= r & -r  # the row's first edge
+    while rhs:
+        entry = basis.get(rhs & -rhs)
+        if entry is None:
+            return None
+        rhs ^= entry[0]
+        bits ^= entry[1]
     return {edge: (-1 if bits >> k & 1 else 1) for edge, k in index.items()}
 
 
@@ -293,7 +318,8 @@ class KLRModule:
             raise ValueError("quiver Hecke relations require e > 2")
         self.la, self.ch, self.hbar = la, ch, hbar
         self.n = mp_size(la)
-        block(la, ch, hbar)  # the label's entry check
+        if not in_fundamental_alcove(la, ch, hbar):
+            raise ValueError("base point must lie in the fundamental alcove")
 
     def dim(self):
         return _path_fold(self.ch, self.hbar)(self.la)
@@ -354,18 +380,17 @@ def _klr_fold(ch, hbar):
     the frame reuses the shapes its earlier labels checked.  A verdict is
     an int of the _CLOSED, _R3, _R5 and _CYCLOTOMIC bits.
 
-    The frame keeps only its memo of verdicts, bound to _klr_verdict.
+    The frame keeps its memo of verdicts and, next to it, the down-steps
+    (box, residue, smaller shape) of each shape it walked, both bound to
+    _klr_verdict; every key is a shape of the frame's alcove fold.
     """
-    return partial(_klr_verdict, _path_fold(ch, hbar), ch, {})
+    return partial(_klr_verdict, _path_fold(ch, hbar), ch, {}, {})
 
 
-def _klr_verdict(fold, ch, memo, la):
-    """The verdict at la, through the memo.  The down-steps (box, residue,
-    smaller shape) are built once per call, for the shapes it checks, and
-    dropped with it."""
+def _klr_verdict(fold, ch, memo, steps, la):
+    """The verdict at la, through the frame's memo and down-steps."""
     e = ch.e
     targets = {s % e for s in ch.s}
-    steps = {}
 
     def down(shape):
         out = steps.get(shape)

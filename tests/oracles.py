@@ -22,8 +22,10 @@ column maps and tests every relation on every basis path.
 ``in_fundamental_alcove_direct`` is the original alcove test, which
 recomputes rho and the origin's window of every positive root on each call,
 and raises for a frame whose origin lies on a wall before it reads the label.
-``sign_assignment_lists`` is the original diamond sign solver, GF(2)
-elimination on rows stored as lists of 0/1 entries.
+``covers_all_pairs`` is the original cover search, which tests every pair
+of nodes for lengths one apart and a coordinate difference along a root;
+``sign_assignment_rows`` is the original diamond sign solver, Gauss-Jordan
+elimination over GF(2) on one int row per diamond.
 ``dominance_block_full`` is the original dominance block, which tests every
 multipartition of |la| and drops those too tall for the frame afterwards.
 ``admissible_transposition_reduced`` is the original admissibility test,
@@ -33,7 +35,7 @@ which reduces the whole weight mod e before comparing two of its entries.
 from fractions import Fraction
 
 from calihecke.alcoves import _path_fold, coord_index, embed, rho
-from calihecke.bgg import covers, diamonds_and_strands
+from calihecke.bgg import diamonds_and_strands
 from calihecke.cyclotomics import Cyc, cyclotomic_polynomial
 from calihecke.multipartitions import (
     dominates,
@@ -491,39 +493,60 @@ def braid_correction(x, y, z, e):
     return 0
 
 
-def sign_assignment_lists(poset, edges=None):
+def covers_all_pairs(poset):
+    """Edges (mu, nu) with length(nu) = length(mu) - 1 and mu, nu related by
+    an affine reflection (coordinate difference proportional to a root),
+    over all pairs of nodes."""
+    edges = []
+    for mu in poset.nodes:
+        for nu in poset.nodes:
+            if poset.lengths[nu] != poset.lengths[mu] - 1:
+                continue
+            diff = [a - b for a, b in zip(poset.points[mu], poset.points[nu])]
+            support = [k for k, x in enumerate(diff) if x]
+            if len(support) == 2 and diff[support[0]] == -diff[support[1]]:
+                edges.append((mu, nu))
+    return edges
+
+
+def sign_assignment_rows(poset, edges=None):
     """Edge signs with product -1 around every diamond (sign -1 <-> bit 1),
-    or None if infeasible, by elimination on lists of 0/1 entries."""
+    or None if infeasible, by Gauss-Jordan elimination on the rows.
+
+    A row is one int: bit k for edge k, bit len(edges) for the right-hand
+    side.  Column by column, the pivot is the first row that is not yet a
+    pivot and has the column's bit; each row left with the right-hand side
+    sets its first edge to -1.
+    """
     if edges is None:
-        edges = covers(poset)
+        edges = covers_all_pairs(poset)
     diamonds, _ = diamonds_and_strands(poset, edges)
     index = {edge: k for k, edge in enumerate(edges)}
+    rhs = 1 << len(edges)
     rows = []
     for w, y1, y2, z in diamonds:
-        row = [0] * (len(edges) + 1)
+        row = rhs
         for edge in ((w, y1), (y1, z), (w, y2), (y2, z)):
-            row[index[edge]] ^= 1
-        row[-1] = 1
+            row ^= 1 << index[edge]
         rows.append(row)
-    pivots = []
+    free = list(range(len(rows)))  # rows that are not pivots, in order
     for col in range(len(edges)):
-        pivot = next((r for r in rows if r[col] == 1 and
-                      all(r[c] == 0 for c in pivots)), None)
-        if pivot is None:
+        bit = 1 << col
+        p = next((k for k in free if rows[k] & bit), None)
+        if p is None:
             continue
-        pivots.append(col)
-        for r in rows:
-            if r is not pivot and r[col] == 1:
-                for c in range(len(edges) + 1):
-                    r[c] ^= pivot[c]
-    if any(all(x == 0 for x in r[:-1]) and r[-1] == 1 for r in rows):
+        free.remove(p)
+        pivot = rows[p]
+        for k, r in enumerate(rows):
+            if r & bit and k != p:
+                rows[k] = r ^ pivot
+    if rhs in rows:  # 0 = 1
         return None
-    bits = [0] * len(edges)
+    bits = 0
     for r in rows:
-        cols = [c for c in range(len(edges)) if r[c] == 1]
-        if cols and r[-1] == 1:
-            bits[cols[0]] = 1
-    return {edge: (-1 if bits[k] else 1) for edge, k in index.items()}
+        if r & rhs and r != rhs:
+            bits |= r & -r  # the row's first edge
+    return {edge: (-1 if bits >> k & 1 else 1) for edge, k in index.items()}
 
 
 def dominance_block_full(la, ch, hbar):

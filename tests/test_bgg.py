@@ -1,6 +1,8 @@
+import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from calihecke import alcoves, bgg
 from calihecke.alcoves import (
@@ -35,9 +37,10 @@ from oracles import (
     alcove_filtered_basis,
     braid_correction,
     column_klr_relations,
+    covers_all_pairs,
     dominance_block_full,
     path_residues,
-    sign_assignment_lists,
+    sign_assignment_rows,
     tableau_sum_character,
 )
 
@@ -113,40 +116,86 @@ def test_sign_assignment_flips_each_diamond():
         assert signs[(w, y1)] * signs[(y1, z)] * signs[(w, y2)] * signs[(y2, z)] == -1
 
 
-def test_bitmask_signs_match_list_oracle():
-    labels = diamonds = 0
-    for ch, la, hb in frames(*GATE_ARGS):
-        if not in_fundamental_alcove(la, ch, hb):
-            continue
-        labels += 1
+def test_walk_covers_and_column_signs_match_the_oracles():
+    # the same edges in the same order, and the same sign of every edge, as
+    # the all-pairs search and the row elimination, on every gate label and
+    # on the n = 24 block of the CI's closed-stdout step
+    blocks = [(la, ch, hb) for ch, la, hb in frames(*GATE_ARGS)
+              if in_fundamental_alcove(la, ch, hb)]
+    assert len(blocks) == GATE_FLOORS["signs_feasible"]
+    blocks.append((((5, 4), (5, 5, 5)), Charge((0, 3), 6), (2, 3)))
+    diamonds = 0
+    for la, ch, hb in blocks:
         poset = block_poset(la, ch, hb)
         edges = covers(poset)
+        assert edges == covers_all_pairs(poset), (la, ch)
         signs = sign_assignment(poset, edges)
-        assert signs == sign_assignment_lists(poset, edges), (la, ch)
-        if signs is None:
-            continue
+        expected = sign_assignment_rows(poset, edges)
+        assert signs == expected and list(signs.items()) == list(expected.items()), (la, ch)
         for w, y1, y2, z in diamonds_and_strands(poset, edges)[0]:
             diamonds += 1
             assert signs[(w, y1)] * signs[(y1, z)] * signs[(w, y2)] * signs[(y2, z)] == -1
-    assert labels == GATE_FLOORS["signs_feasible"]
-    assert diamonds > 0
+    assert (len(poset.nodes), len(edges)) == (325, 1163)  # the last block, n = 24
+    assert diamonds > 1785  # the n = 24 block's, and those of the gate labels
+
+
+def _patch_diamonds(monkeypatch, diamonds):
+    import oracles
+
+    for module in (bgg, oracles):
+        monkeypatch.setattr(module, "diamonds_and_strands",
+                            lambda poset, edges: (diamonds, []))
 
 
 def test_sign_assignment_detects_an_odd_cycle_of_diamonds(monkeypatch):
     # three diamonds that cover each of six edges twice: their rows add up
     # to 0 = 1, so there is no sign system (a block poset never has them:
     # they make one interval with three midpoints); two of them have one
-    import oracles
-
     edges = [("w", "a"), ("w", "b"), ("w", "c"), ("a", "z"), ("b", "z"), ("c", "z")]
     cycle = [("w", "a", "b", "z"), ("w", "b", "c", "z"), ("w", "c", "a", "z")]
     for diamonds, feasible in ((cycle, False), (cycle[:2], True)):
-        for module in (bgg, oracles):
-            monkeypatch.setattr(module, "diamonds_and_strands",
-                                lambda poset, edges: (diamonds, []))
+        _patch_diamonds(monkeypatch, diamonds)
         signs = sign_assignment(None, edges)
-        assert signs == sign_assignment_lists(None, edges)
+        assert signs == sign_assignment_rows(None, edges)
         assert (signs is not None) == feasible
+
+
+_NODES = range(5)
+_PAIRS = [(x, y) for x in _NODES for y in _NODES if x != y]
+_QUADS = [((w, y1), (y1, z), (w, y2), (y2, z), (w, y1, y2, z))
+          for w, y1, y2, z in itertools.permutations(_NODES, 4)]
+
+
+@st.composite
+def diamond_systems(draw):
+    """Up to 10 diamonds (w, y1, y2, z) of four distinct nodes out of five,
+    drawn one at a time among those that keep the edges they use at 12 or
+    fewer, then other edges up to 12, all edges in a random order."""
+    edges, diamonds = [], []
+    for _ in range(draw(st.integers(0, 10))):
+        fits = [q for q in _QUADS if len(set(edges).union(q[:4])) <= 12]
+        *four, diamond = draw(st.sampled_from(fits))
+        diamonds.append(diamond)
+        edges += [edge for edge in four if edge not in edges]
+    extras = draw(st.lists(st.sampled_from(_PAIRS), unique=True, max_size=12 - len(edges)))
+    edges += [edge for edge in extras if edge not in edges]
+    return draw(st.permutations(edges)), diamonds
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(diamond_systems())
+def test_column_signs_match_row_elimination_on_random_systems(system):
+    edges, diamonds = system
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _patch_diamonds(monkeypatch, diamonds)
+        signs = sign_assignment(None, edges)
+        expected = sign_assignment_rows(None, edges)
+    assert signs == expected
+    if signs is not None:
+        assert list(signs.items()) == list(expected.items())
+        for w, y1, y2, z in diamonds:
+            assert signs[(w, y1)] * signs[(y1, z)] * signs[(w, y2)] * signs[(y2, z)] == -1
 
 
 def test_sign_assignment_trivial_without_diamonds():
@@ -210,7 +259,7 @@ def test_block_is_built_once_per_label(monkeypatch):
     assert euler["ok"] and conventions[1]
     assert mod.dim() == euler["fundamental_paths"] == 22
     assert len(posets) == 1 and poset.nodes[0] == la
-    tested[la] -= 1  # the label's own entry check
+    tested[la] -= 2  # the label's entry checks, one by its Block, one by its KLR module
     assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
 
 
@@ -224,7 +273,7 @@ def test_labels_of_one_frame_test_each_prefix_shape_once(monkeypatch):
         assert build_klr_module(la, ch, hbar).dim() == euler["fundamental_paths"]
     assert labels[0] in tested  # the smaller label is a prefix shape of the larger
     for la in labels:
-        tested[la] -= 1  # each label's own entry check
+        tested[la] -= 2  # each label's entry checks, by its Block and by its KLR module
     assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
 
 
