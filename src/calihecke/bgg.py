@@ -39,13 +39,13 @@ from .alcoves import (
 )
 from .multipartitions import (
     count_standard_tableaux,
+    dominance_signature,
     mp_size,
-    residue_multiset,
-    dominates,
     multipartitions_of,
     remove_box,
     removable_boxes,
     residue,
+    signature_dominates,
     tableau_sums,
     _step_degrees,
 )
@@ -160,12 +160,12 @@ def block_poset(la, ch, hbar, cross_validate=False):
 def dominance_block(la, ch, hbar):
     """{mu : mu dominates la with the same residue multiset}, the
     combinatorial description of the block, among the multipartitions whose
-    component heights hbar bounds."""
-    n = mp_size(la)
-    target = residue_multiset(la, ch)
+    component heights hbar bounds.  la's dominance signature is built once;
+    equal signature lengths are the equal residue multisets."""
+    target = dominance_signature(la, ch)
     out = []
-    for mu in multipartitions_of(n, len(ch.s), hbar):
-        if residue_multiset(mu, ch) == target and dominates(mu, la, ch):
+    for mu in multipartitions_of(mp_size(la), len(ch.s), hbar):
+        if signature_dominates(dominance_signature(mu, ch), target):
             out.append(mu)
     return sorted(out)
 

@@ -175,10 +175,6 @@ def step_changes(hbar, ch):
 # of rows, each row a tuple of entries from {1..n}.
 
 
-def tableau_shape(t):
-    return tuple(tuple(len(row) for row in comp) for comp in t)
-
-
 def tableau_boxes_by_entry(t):
     """Dict entry -> box."""
     out = {}
@@ -187,29 +183,6 @@ def tableau_boxes_by_entry(t):
             for c, k in enumerate(row, start=1):
                 out[k] = (r, c, m)
     return out
-
-
-def is_standard_tableau(t):
-    shape = tableau_shape(t)
-    if not is_multipartition(shape):
-        return False
-    entries = [k for comp in t for row in comp for k in row]
-    n = len(entries)
-    if sorted(entries) != list(range(1, n + 1)):
-        return False
-    for comp in t:
-        for r, row in enumerate(comp):
-            for c, k in enumerate(row):
-                if c + 1 < len(row) and row[c + 1] <= k:
-                    return False
-                if r + 1 < len(comp) and c < len(comp[r + 1]) and comp[r + 1][c] <= k:
-                    return False
-    return True
-
-
-def residue_sequence(t, ch):
-    by_entry = tableau_boxes_by_entry(t)
-    return tuple(residue(by_entry[k], ch) for k in range(1, len(by_entry) + 1))
 
 
 def tableau_from_box_order(mp, order):
@@ -344,32 +317,53 @@ def tableau_degree(t, ch):
 # Dominance.
 
 
+def dominance_signature(mp, ch):
+    """{i: the box_keys of mp's boxes of residue i, in decreasing order}.
+
+    mu >= la iff the signatures have the same residues with the same number
+    of boxes each, and the k-th key of la sits at or below the k-th key of
+    mu for every residue and every k (see signature_dominates).
+    """
+    s = ch.s
+    keys = {}
+    for m, comp in enumerate(mp, start=1):
+        sm = s[m - 1]
+        for r, row_len in enumerate(comp, start=1):
+            for content in range(sm + 1 - r, sm + row_len + 1 - r):
+                key = (content, -m)
+                i = content % ch.e
+                if i in keys:
+                    keys[i].append(key)
+                else:
+                    keys[i] = [key]
+    return {i: sorted(k, reverse=True) for i, k in keys.items()}
+
+
+def signature_dominates(sig_mu, sig_la):
+    """mu >= la from the dominance signatures of two multipartitions of one
+    size.  Greedy per residue class: within one class the box order is
+    total, so a residue-preserving bijection moving every box weakly down
+    exists iff, after sorting both sides decreasingly, the k-th la-box sits
+    at or below the k-th mu-box."""
+    if sig_mu.keys() != sig_la.keys():
+        return False
+    for i, ku in sig_mu.items():
+        kl = sig_la[i]
+        if len(ku) != len(kl):
+            return False
+        for u, l in zip(ku, kl):
+            if l > u:
+                return False
+    return True
+
+
 def dominates(mu, la, ch):
     """Test mu >= la: is there a residue-preserving bijection from the boxes
     of mu onto those of la moving every box weakly down the dominance order?
-
-    Greedy per residue class: within one class the box order is total, so a
-    matching exists iff, after sorting both sides decreasingly, the k-th
-    la-box sits at or below the k-th mu-box.
-    """
+    Read off the two dominance signatures."""
     if mp_size(mu) != mp_size(la):
         raise ValueError("dominance needs equal sizes")
-    by_res_mu = {}
-    by_res_la = {}
-    for b in boxes(mu):
-        by_res_mu.setdefault(residue(b, ch), []).append(box_key(b, ch))
-    for b in boxes(la):
-        by_res_la.setdefault(residue(b, ch), []).append(box_key(b, ch))
-    if set(by_res_mu) != set(by_res_la):
-        return False
-    for i in by_res_mu:
-        ku = sorted(by_res_mu[i], reverse=True)
-        kl = sorted(by_res_la[i], reverse=True)
-        if len(ku) != len(kl):
-            return False
-        if any(l > u for u, l in zip(ku, kl)):
-            return False
-    return True
+    return signature_dominates(dominance_signature(mu, ch), dominance_signature(la, ch))
 
 
 def dominates_by_search(mu, la, ch):
@@ -393,14 +387,6 @@ def dominates_by_search(mu, la, ch):
                                            for perm in permutations(range(len(up)))):
             return False
     return True
-
-
-def residue_multiset(mp, ch):
-    out = {}
-    for b in boxes(mp):
-        i = residue(b, ch)
-        out[i] = out.get(i, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

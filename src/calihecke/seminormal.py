@@ -287,23 +287,61 @@ def _propagate(cls, e, start, step, inconsistent):
     return [vals[j] for j in range(len(cls))]
 
 
+@lru_cache(maxsize=1)
+def _class_edges(cls, e):
+    """The edges of the sorted weight class cls: for each weight, in class
+    order, a tuple of (neighbour index, (m_i - m_{i+1}) mod e) over the
+    admissible transpositions s_i with m_i != m_{i+1}, in order of i.  One
+    entry: the sweeps, the locus oracle and the benchmark ask for the
+    values of a of one class one after another."""
+    index = {b: j for j, b in enumerate(cls)}
+    edges = []
+    for wt in cls:
+        out = []
+        for i in range(1, len(wt)):
+            if wt[i - 1] != wt[i] and admissible_transposition(wt, i, e):
+                swapped = wt[:i - 1] + (wt[i], wt[i - 1]) + wt[i + 1:]
+                out.append((index[swapped], (wt[i - 1] - wt[i]) % e))
+        edges.append(tuple(out))
+    return tuple(edges)
+
+
 def class_form_signs(cls, e, a=1):
     """Signs of the diagonal form values A_b on a sorted weight class,
     propagated from the lexicographically least weight (sign +1) along
     admissible transpositions; the ratio rule is
     sign(A_{s_i b}/A_b) = sign(Re(q) - Re(b_i/b_{i+1})), decided exactly by
-    re_compare on exponents.  No matrices are needed."""
+    re_compare on exponents.  No matrices are needed.
 
-    def step(wt, i):
-        # Re(q) against Re(b_i / b_{i+1}) at the source weight
-        cmp = re_compare(a, a * (wt[i - 1] - wt[i]), e)
-        if cmp == 0:
-            raise ValueError("wall weight: Re(ratio) = Re(q) inside a class")
-        return 1 if cmp > 0 else -1
+    The class's edges are cached per (class, e), and the sign of an edge
+    depends only on d = (m_i - m_{i+1}) mod e, so re_compare runs once per
+    difference d that the walk meets."""
+    cls = tuple(sorted(cls))
+    edges = _class_edges(cls, e)
+    step = {}  # d -> the sign along an edge of difference d
 
-    cls = sorted(cls)
-    signs = _propagate(cls, e, 1, step, "inconsistent sign propagation around a cycle")
-    return dict(zip(cls, signs))
+    vals = {0: 1}
+    frontier = [0] if cls else []
+    while frontier:
+        j = frontier.pop()
+        for k, d in edges[j]:
+            sign = step.get(d)
+            if sign is None:
+                # Re(q) against Re(b_i / b_{i+1}) at the source weight
+                cmp = re_compare(a, a * d, e)
+                if cmp == 0:
+                    raise ValueError("wall weight: Re(ratio) = Re(q) inside a class")
+                sign = step[d] = 1 if cmp > 0 else -1
+            target = vals[j] * sign
+            if k in vals:
+                if vals[k] != target:
+                    raise ValueError("inconsistent sign propagation around a cycle")
+            else:
+                vals[k] = target
+                frontier.append(k)
+    if len(vals) != len(cls):
+        raise ValueError("weight class is not connected by admissible transpositions")
+    return {b: vals[j] for j, b in enumerate(cls)}
 
 
 def form_signs(mod):

@@ -8,9 +8,9 @@ cross-check the closed form.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from .crystal import e_tilde, is_no_stuttering
 from .multipartitions import (
     Charge,
     charged_content,
@@ -21,13 +21,10 @@ from .multipartitions import (
     tableau_boxes_by_entry,
     is_partition,
 )
-from functools import lru_cache
 
-from .seminormal import (
-    class_form_signs,
-    is_calibrated_weight,
-    weight_class,
-)
+# The closed form needs only the partition; the oracles below import the
+# crystal and the seminormal layer when they run, so `calihecke locus`
+# loads neither.
 
 
 def hook_stats(la):
@@ -153,12 +150,16 @@ def is_calibrated_level1(la, e):
 def is_calibrated_level1_crystal(la, e):
     """Independent verdict via the crystal: D(la) is calibrated iff la is a
     no-stuttering vertex at charge (0)."""
+    from .crystal import is_no_stuttering
+
     return is_no_stuttering((la,), Charge((0,), e))
 
 
 def q_admissible_tableaux(la, e):
     """Standard tableaux every one of whose top-entry boxes is the good
     removable box of its prefix shape.  For e = 0 all are admissible."""
+    from .crystal import e_tilde
+
     out = []
     if e == 0:
         return list(standard_tableaux((la,)))
@@ -191,6 +192,8 @@ def column_reading_weight(la, e):
 
 @lru_cache(maxsize=None)
 def _cached_class(la, e):
+    from .seminormal import is_calibrated_weight, weight_class
+
     m = column_reading_weight(la, e)
     if not is_calibrated_weight(m, e):
         raise ValueError("partition not calibrated at this e")
@@ -200,6 +203,8 @@ def _cached_class(la, e):
 def positivity_oracle(la, a, e):
     """Is the invariant form on the calibrated class of la positive definite
     at q = exp(2*pi*i*a/e)?  Exact sign propagation, no matrices."""
+    from .seminormal import class_form_signs
+
     if gcd(a, e) != 1:
         raise ValueError("need gcd(a, e) = 1")
     cls = _cached_class(tuple(la), e)

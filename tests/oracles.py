@@ -30,26 +30,44 @@ elimination over GF(2) on one int row per diamond.
 multipartition of |la| and drops those too tall for the frame afterwards.
 ``admissible_transposition_reduced`` is the original admissibility test,
 which reduces the whole weight mod e before comparing two of its entries.
+``class_form_signs_per_edge`` is the original form-sign propagation, which
+rebuilds the class's adjacency and calls ``re_compare`` once per edge.
+``i_word_scan`` is the original i-word, which rescans every box of the
+multipartition for one residue; ``f_tilde_scan`` and ``e_tilde_scan`` read
+the reduced scanned word, ``reachable_by_size_scan`` is the breadth-first
+walk over them, and ``is_reachable_recursive`` and
+``has_stuttering_build_recursive`` are the original recursions over the
+e_tilde images, with a memo local to one call.
+``is_standard_tableau``, ``residue_sequence`` and ``residue_multiset`` read
+a tableau or a multipartition by the definitions: standardness entry by
+entry, the residues of the entries 1..n in order, and the residues of the
+boxes counted.
 """
 
 from fractions import Fraction
 
 from calihecke.alcoves import _path_fold, coord_index, embed, rho
 from calihecke.bgg import diamonds_and_strands
-from calihecke.cyclotomics import Cyc, cyclotomic_polynomial
+from calihecke.crystal import reduced_i_word
+from calihecke.cyclotomics import Cyc, cyclotomic_polynomial, re_compare
 from calihecke.multipartitions import (
+    add_box,
+    addable_boxes,
+    box_key,
+    boxes,
     dominates,
     heights,
+    is_multipartition,
     mp_size,
     multipartitions_of,
     remove_box,
     removable_boxes,
-    residue_multiset,
+    residue,
     standard_tableaux,
     tableau_boxes_by_entry,
     tableau_degree,
 )
-from calihecke.seminormal import form_values
+from calihecke.seminormal import _propagate, form_values
 
 
 def _polydivmod(num, den):
@@ -570,3 +588,126 @@ def admissible_transposition_reduced(m, i, e):
     up = (m[i - 1] + 1) % e if e else m[i - 1] + 1
     down = (m[i - 1] - 1) % e if e else m[i - 1] - 1
     return m[i] != up and m[i] != down
+
+
+def class_form_signs_per_edge(cls, e, a=1):
+    """Signs of the diagonal form values A_b on a sorted weight class,
+    propagated from the least weight (sign +1) along admissible
+    transpositions, with one re_compare of Re(q) against Re(b_i/b_{i+1})
+    per edge."""
+
+    def step(wt, i):
+        cmp = re_compare(a, a * (wt[i - 1] - wt[i]), e)
+        if cmp == 0:
+            raise ValueError("wall weight: Re(ratio) = Re(q) inside a class")
+        return 1 if cmp > 0 else -1
+
+    cls = sorted(cls)
+    signs = _propagate(cls, e, 1, step, "inconsistent sign propagation around a cycle")
+    return dict(zip(cls, signs))
+
+
+def i_word_scan(mp, ch, i):
+    """List of (box, sign) for residue i, increasing in dominance order,
+    from a scan of every addable and removable box."""
+    word = [(b, "+") for b in addable_boxes(mp, ch, i)]
+    word += [(b, "-") for b in removable_boxes(mp, ch, i)]
+    word.sort(key=lambda bs: box_key(bs[0], ch))
+    return word
+
+
+def f_tilde_scan(mp, ch, i):
+    red = reduced_i_word(i_word_scan(mp, ch, i))
+    plus = [b for b, sign in red if sign == "+"]
+    return add_box(mp, plus[-1]) if plus else None
+
+
+def e_tilde_scan(mp, ch, i):
+    red = reduced_i_word(i_word_scan(mp, ch, i))
+    minus = [b for b, sign in red if sign == "-"]
+    return remove_box(mp, minus[0]) if minus else None
+
+
+def _residues(bs, ch):
+    return sorted({residue(b, ch) for b in bs})
+
+
+def reachable_by_size_scan(n, ch):
+    """The crystal-reachable multipartitions of each size 0..n, breadth
+    first, trying f_tilde_scan at every residue of an addable box."""
+    layers = [{tuple(() for _ in ch.s)}]
+    for _ in range(n):
+        nxt = set()
+        for mp in layers[-1]:
+            for i in _residues(addable_boxes(mp), ch):
+                out = f_tilde_scan(mp, ch, i)
+                if out is not None:
+                    nxt.add(out)
+        layers.append(nxt)
+    return layers
+
+
+def is_reachable_recursive(mp, ch):
+    """mp is empty, or some e_tilde_scan image is reachable."""
+    memo = {}
+
+    def reachable(mp):
+        if mp not in memo:
+            memo[mp] = mp_size(mp) == 0 or any(
+                down is not None and reachable(down)
+                for down in (e_tilde_scan(mp, ch, i)
+                             for i in _residues(removable_boxes(mp), ch)))
+        return memo[mp]
+
+    return reachable(mp)
+
+
+def has_stuttering_build_recursive(mp, ch):
+    """Can mp be written f_{i_n}...f_{i_1}(empty) with i_k = i_{k+1}
+    somewhere?"""
+    memo = {}
+
+    def stutters(mp):
+        if mp not in memo:
+            out = False
+            for i in _residues(removable_boxes(mp), ch):
+                down = e_tilde_scan(mp, ch, i)
+                if down is not None and (e_tilde_scan(down, ch, i) is not None
+                                         or stutters(down)):
+                    out = True
+                    break
+            memo[mp] = out
+        return memo[mp]
+
+    return stutters(mp)
+
+
+def is_standard_tableau(t):
+    shape = tuple(tuple(len(row) for row in comp) for comp in t)
+    if not is_multipartition(shape):
+        return False
+    entries = [k for comp in t for row in comp for k in row]
+    n = len(entries)
+    if sorted(entries) != list(range(1, n + 1)):
+        return False
+    for comp in t:
+        for r, row in enumerate(comp):
+            for c, k in enumerate(row):
+                if c + 1 < len(row) and row[c + 1] <= k:
+                    return False
+                if r + 1 < len(comp) and c < len(comp[r + 1]) and comp[r + 1][c] <= k:
+                    return False
+    return True
+
+
+def residue_sequence(t, ch):
+    by_entry = tableau_boxes_by_entry(t)
+    return tuple(residue(by_entry[k], ch) for k in range(1, len(by_entry) + 1))
+
+
+def residue_multiset(mp, ch):
+    out = {}
+    for b in boxes(mp):
+        i = residue(b, ch)
+        out[i] = out.get(i, 0) + 1
+    return out

@@ -20,12 +20,12 @@ from calihecke.multipartitions import (
     count_standard_tableaux,
     is_s_admissible,
     multipartitions_of,
-    residue_sequence,
     standard_tableaux,
     tableau_degree,
 )
 from calihecke.sweeps import SUITES, charges, frames
-from oracles import fundamental_paths, in_fundamental_alcove_direct, path_residues
+from oracles import (fundamental_paths, in_fundamental_alcove_direct, path_residues,
+                     residue_sequence)
 
 
 CH = Charge((0, 4), 9)

@@ -335,16 +335,16 @@ def test_dominance_block_matches_full_enumeration():
 def test_dominance_block_tests_only_shapes_of_the_frame(monkeypatch):
     # the full enumeration would test every bipartition of 28
     calls = []
-    real = bgg.dominates
+    real = bgg.dominance_signature
 
-    def counting(mu, la, ch):
-        calls.append(mu)
-        return real(mu, la, ch)
+    def counting(mp, ch):
+        calls.append(mp)
+        return real(mp, ch)
 
-    monkeypatch.setattr(bgg, "dominates", counting)
+    monkeypatch.setattr(bgg, "dominance_signature", counting)
     la = ((28,), ())
     assert dominance_block(la, Charge((0, 0), 3), (1, 0)) == [la]
-    assert calls == [la]
+    assert calls == [la, la]  # the target's signature, then the one candidate's
 
 
 def test_klr_r1_detects_duplicated_and_dropped_fibres(monkeypatch):

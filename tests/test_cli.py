@@ -470,11 +470,11 @@ README_LOADS = [
     (["seminormal", "--e", "4", "--weight", "0,2"],
      {"cli", "multipartitions", "cyclotomics", "seminormal"}),
     (["seminormal", "--e", "5", "--a", "2", "--partition", "2,1"],
-     {"cli", "multipartitions", "crystal", "cyclotomics", "seminormal", "unitary_loci"}),
+     {"cli", "multipartitions", "cyclotomics", "seminormal", "unitary_loci"}),
     (["bgg", "--e", "4", "--charge", "0,1", "--multipartition", "[[1,1],[2]]"],
      {"cli", "multipartitions", "alcoves", "bgg"}),
     (["locus", "--partition", "3,2"],
-     {"cli", "multipartitions", "crystal", "cyclotomics", "seminormal", "unitary_loci"}),
+     {"cli", "multipartitions", "unitary_loci"}),
     (["verify", "classification"],
      {"cli", "multipartitions", "sweeps", "crystal", "calibration"}),
     (["verify", "locus"],
@@ -486,6 +486,17 @@ README_LOADS = [
 @pytest.mark.parametrize("argv, modules", README_LOADS)
 def test_command_loads_only_its_layers(argv, modules):
     assert _loaded(argv) == (0, modules)
+
+
+def test_locus_and_bgg_load_no_exact_arithmetic():
+    # the closed-form locus reads only the partition (its oracles import the
+    # crystal and the seminormal layer when they run), and a BGG block is
+    # integer combinatorics
+    for argv in (["locus", "--partition", "4,4,2,1"], ["locus", "--partition", "1,1,1"]):
+        code, loaded = _loaded(argv)
+        assert code == 0 and not loaded & {"seminormal", "cyclotomics", "crystal"}, argv
+    code, loaded = _loaded(["bgg", "--e", "5", "--charge", "0,2", "--multipartition", "[[2,1],[1]]"])
+    assert code == 0 and not loaded & {"cyclotomics", "seminormal"}
 
 
 @pytest.mark.parametrize("argv", [["verify", "nosuch"],

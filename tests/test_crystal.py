@@ -4,6 +4,7 @@ from calihecke.crystal import (
     build_from_word,
     e_tilde,
     f_tilde,
+    i_word,
     is_no_stuttering,
     is_reachable,
     reachable_by_size,
@@ -12,6 +13,14 @@ from calihecke.crystal import (
 from calihecke import sweeps
 from calihecke.calibration import is_cali, is_flotw
 from calihecke.multipartitions import Charge, multipartitions_of, mp_size, partitions_of
+from oracles import (
+    e_tilde_scan,
+    f_tilde_scan,
+    has_stuttering_build_recursive,
+    i_word_scan,
+    is_reachable_recursive,
+    reachable_by_size_scan,
+)
 
 
 def test_reduced_word_cancellation():
@@ -102,3 +111,45 @@ def test_large_example_reachable_but_stuttering():
 
 def test_e_tilde_preserves_cali_small():
     assert _small_classification()["e_tilde_keeps_cali"] is None
+
+
+def test_signature_route_matches_the_scan_oracle():
+    # every residue (and one beyond e, read mod e) of every multipartition
+    # of size <= 7 at levels 1-3, e 2-6, at the first three charges of each
+    # level
+    checked = 0
+    for e in range(2, 7):
+        for ell in (1, 2, 3):
+            for ch in sweeps.charges(e, ell)[:3]:
+                for n in range(8):
+                    for mp in multipartitions_of(n, ell):
+                        for i in range(e + 1):
+                            assert i_word(mp, ch, i) == i_word_scan(mp, ch, i)
+                            assert f_tilde(mp, ch, i) == f_tilde_scan(mp, ch, i)
+                            assert e_tilde(mp, ch, i) == e_tilde_scan(mp, ch, i)
+                            checked += 1
+    assert checked == 82353
+
+
+def test_crystal_folds_match_the_recursive_oracles():
+    # the per-charge folds against a fresh recursion per multipartition
+    for e in range(2, 7):
+        for ell in (1, 2, 3):
+            for ch in sweeps.charges(e, ell)[:3]:
+                for n in range(7):
+                    for mp in multipartitions_of(n, ell):
+                        reachable = is_reachable_recursive(mp, ch)
+                        assert is_reachable(mp, ch) == reachable
+                        assert is_no_stuttering(mp, ch) == (
+                            reachable and not has_stuttering_build_recursive(mp, ch))
+
+
+# The classify queries of the benchmark's cli_session pool, as (e, s, n).
+CLASSIFY_POOL = [(4, (0, 1), 11), (5, (0, 2), 10), (4, (0, 2), 10), (4, (0, 1), 12),
+                 (4, (0, 2), 12), (3, (0, 1, 2), 11), (4, (0, 1, 2), 10), (5, (0, 1, 2), 10)]
+
+
+def test_reachable_layers_match_the_scan_oracle():
+    for e, s, n in CLASSIFY_POOL:
+        ch = Charge(s, e)
+        assert reachable_by_size(n, ch) == reachable_by_size_scan(n, ch), (e, s, n)

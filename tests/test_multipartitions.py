@@ -11,6 +11,7 @@ from calihecke.multipartitions import (
     boxes,
     charged_content,
     count_standard_tableaux,
+    dominance_signature,
     dominates,
     dominates_by_search,
     heights,
@@ -25,14 +26,12 @@ from calihecke.multipartitions import (
     remove_box,
     removable_boxes,
     residue,
-    residue_multiset,
-    residue_sequence,
     reverse_column_reading_tableau,
     standard_tableaux,
     step_changes,
     tableau_degree,
-    is_standard_tableau,
 )
+from oracles import is_standard_tableau, residue_multiset, residue_sequence
 
 
 @st.composite
@@ -240,6 +239,17 @@ def test_dominance_needs_matching_residues():
     # (2,2) and (3,1) have different residue multisets at e = 4
     assert residue_multiset(((2, 2),), ch) != residue_multiset(((3, 1),), ch)
     assert not dominates(((2, 2),), ((3, 1),), ch)
+
+
+def test_dominance_signature_lists_box_keys_by_residue():
+    for ch in (Charge((0,), 3), Charge((0, 2), 4), Charge((1, 1, 3), 5)):
+        for n in range(6):
+            for mp in multipartitions_of(n, ch.level):
+                keys = {}
+                for b in boxes(mp):
+                    keys.setdefault(residue(b, ch), []).append(box_key(b, ch))
+                assert dominance_signature(mp, ch) == {
+                    i: sorted(k, reverse=True) for i, k in keys.items()}
 
 
 @given(charged_multipartitions(max_size=4), charged_multipartitions(max_size=4))

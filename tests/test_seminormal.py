@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from calihecke import seminormal
 from calihecke.calibration import enumerate_cali
 from calihecke.cyclotomics import Cyc
-from calihecke.multipartitions import Charge
+from calihecke.multipartitions import Charge, partitions_of
 from calihecke.seminormal import (
     _form_ratio,
     _invariance_verdict,
@@ -27,9 +27,11 @@ from calihecke.seminormal import (
     weight_class,
 )
 from calihecke.sweeps import SUITES, seminormal_modules
+from calihecke.unitary_loci import column_reading_weight
 import oracles
 from oracles import (
     admissible_transposition_reduced,
+    class_form_signs_per_edge,
     column_hecke_relations,
     dense_form_invariance,
 )
@@ -139,6 +141,85 @@ def test_class_form_signs_matches_module_route():
     for m, e, a in [((0, 2), 4, 1), ((0, 2, 1, 3), 4, 1), ((0, 1, 4), 5, 2)]:
         cls = weight_class(m, e)
         assert class_form_signs(cls, e, a) == form_signs(seminormal_module(cls, e, a))
+
+
+def _signs_or_error(signs, cls, e, a):
+    try:
+        return signs(cls, e, a)
+    except ValueError as ex:
+        return f"ValueError: {ex}"
+
+
+def _locus_gate_classes():
+    """(cls, e, a) for every calibrated (la, e) of the criterion-13 range
+    and every a in [1, e): a that shares a factor with e puts walls in the
+    class."""
+    ns, es = SUITES["locus"][1]["gate"][0]
+    for n in ns:
+        for la in partitions_of(n):
+            for e in es:
+                m = column_reading_weight(la, e)
+                if is_calibrated_weight(m, e):
+                    cls = weight_class(m, e)
+                    for a in range(1, e):
+                        yield cls, e, a
+
+
+def test_class_form_signs_match_the_per_edge_oracle():
+    checked = 0
+    for mod in seminormal_modules(*GATE_ARGS):
+        assert class_form_signs(mod.cls, mod.e, mod.a) == \
+            class_form_signs_per_edge(mod.cls, mod.e, mod.a)
+        checked += 1
+    assert checked == GATE_FLOORS["hecke_relations"]
+    outcomes = {}
+    for cls, e, a in _locus_gate_classes():
+        got = _signs_or_error(class_form_signs, cls, e, a)
+        assert got == _signs_or_error(class_form_signs_per_edge, cls, e, a), (cls, e, a)
+        kind = got[:20] if isinstance(got, str) else "signs"
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes == {"signs": 3039, "ValueError: wall wei": 873}
+    # two weights that no admissible transposition joins
+    for cls, e in (([(0, 1), (1, 0)], 5), ([], 3)):
+        assert _signs_or_error(class_form_signs, cls, e, 1) == \
+            _signs_or_error(class_form_signs_per_edge, cls, e, 1) == \
+            "ValueError: weight class is not connected by admissible transpositions"
+
+
+def test_class_form_signs_match_the_oracle_on_inconsistent_cycles(monkeypatch):
+    # re_compare is even in its second argument, so every cycle of a class
+    # is consistent; a sign rule that tells d from -d makes the edge back
+    # along s_i disagree, and both routes must raise at the same cases
+    def odd(d1, d2, e):
+        return 1 if 2 * (d2 % e) < e else -1
+
+    monkeypatch.setattr(seminormal, "re_compare", odd)
+    monkeypatch.setattr(oracles, "re_compare", odd)
+    raised = 0
+    for cls, e, a in _locus_gate_classes():
+        got = _signs_or_error(class_form_signs, cls, e, a)
+        assert got == _signs_or_error(class_form_signs_per_edge, cls, e, a), (cls, e, a)
+        raised += got == "ValueError: inconsistent sign propagation around a cycle"
+    assert raised > 0
+
+
+def test_class_form_signs_compare_once_per_difference(monkeypatch):
+    calls = []
+    real = seminormal.re_compare
+
+    def counting(d1, d2, e):
+        calls.append(d2)
+        return real(d1, d2, e)
+
+    monkeypatch.setattr(seminormal, "re_compare", counting)
+    # a class of dimension 1 has no edge
+    assert weight_class((0, 1, 2), 6) == [(0, 1, 2)]
+    assert class_form_signs([(0, 1, 2)], 6, 1) == {(0, 1, 2): 1}
+    assert calls == []
+    cls = weight_class((0, 2, 4, 1, 3), 6)
+    assert class_form_signs(cls, 6, 5) == class_form_signs_per_edge(cls, 6, 5)
+    # one call per difference d = (m_i - m_{i+1}) mod e, each as 5 * d
+    assert calls and len(calls) == len({d2 % 6 for d2 in calls})
 
 
 def test_cyclotomic_membership():
