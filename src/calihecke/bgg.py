@@ -1,10 +1,11 @@
 """Block posets of fundamental-alcove points, Carter-Payne covers,
 diamond/strand structure with a GF(2) sign system, graded characters, the
 Euler identity, and the explicit KLR action on the calibrated simple.
-The free functions of one label read one cached Block, its poset built
-once, and the folds over prefix shapes are shared wider: the alcove fold
-and the KLR verdicts by every label of a frame (ch, hbar), the graded fold
-by every label of a charge, the tableau count by all.
+The free functions of one label read one cached BlockPoset, built once,
+and the folds over prefix shapes are shared wider: the alcove fold (which
+gives |Path^F(lambda)|) and the KLR verdicts by every label of a frame
+(ch, hbar), the graded fold by every label of a charge, the tableau count
+by all.
 
 One orbit walk builds a label's block: its nodes, and for each node the
 nodes one affine reflection away.  The covers are the reflection pairs
@@ -126,30 +127,16 @@ class BlockPoset:
         self.nodes = sorted(points, key=lambda mp: (self.lengths[mp], mp))
 
 
-class Block:
-    """What the BGG checks read about one label lambda, built once.
-
-    - poset: the BlockPoset of lambda, whose construction checks that
-      lambda lies in the fundamental alcove;
-    - n_paths = |Path^F(lambda)|, read off the alcove fold of the frame,
-      which the KLR basis walk reads too.
-    """
-
-    def __init__(self, la, ch, hbar):
-        self.poset = BlockPoset(la, ch, hbar)
-        self.n_paths = _path_fold(ch, hbar)(la)
-
-
 @lru_cache(maxsize=1)
 def block(la, ch, hbar):
-    """The Block of one label, shared by its callers.  One entry: the BGG
-    command and sweeps call the free functions below one after another on
-    the same label."""
-    return Block(la, ch, hbar)
+    """The BlockPoset of one label, shared by its callers.  One entry: the
+    BGG command and sweeps call the free functions below one after another
+    on the same label."""
+    return BlockPoset(la, ch, hbar)
 
 
 def block_poset(la, ch, hbar, cross_validate=False):
-    poset = block(la, ch, hbar).poset
+    poset = block(la, ch, hbar)
     if cross_validate:
         expected = dominance_block(la, ch, hbar)
         if sorted(poset.nodes) != expected:
@@ -276,18 +263,17 @@ def graded_specht_character(mu, ch):
 
 
 def euler_check(la, ch, hbar):
-    blk = block(la, ch, hbar)
-    poset = blk.poset
+    poset = block(la, ch, hbar)
     lhs = sum((-1) ** poset.lengths[mu] * count_standard_tableaux(mu) for mu in poset.nodes)
-    rhs = blk.n_paths
+    rhs = _path_fold(ch, hbar)(la)
     return {"alternating_sum": lhs, "fundamental_paths": rhs, "ok": lhs == rhs}
 
 
 def graded_character_identity(la, ch, hbar):
     """Test sum over mu of (-1)^len t^(c*len) grchar(mu) = |Path^F| t^0 for
     the shift conventions c = 1 and c = 2; report which hold."""
-    blk = block(la, ch, hbar)
-    poset, rhs = blk.poset, blk.n_paths
+    poset = block(la, ch, hbar)
+    rhs = _path_fold(ch, hbar)(la)
     char = _graded_fold(ch)
     chars = {mu: char(mu) for mu in poset.nodes}
     report = {}
@@ -317,7 +303,6 @@ class KLRModule:
         if ch.e <= 2:
             raise ValueError("quiver Hecke relations require e > 2")
         self.la, self.ch, self.hbar = la, ch, hbar
-        self.n = mp_size(la)
         if not in_fundamental_alcove(la, ch, hbar):
             raise ValueError("base point must lie in the fundamental alcove")
 

@@ -3,15 +3,7 @@ tests, enumeration, and construction of charged multipartitions from
 semi-infinite Young diagrams (staircase splittings)."""
 
 from .crystal import reachable_by_size
-from .multipartitions import (
-    Charge,
-    boxes,
-    charged_content,
-    heights,
-    is_cylindrical_charge,
-    mp_size,
-    residue,
-)
+from .multipartitions import Charge, charged_content, is_cylindrical_charge, residue
 
 
 def border_multiset(mp, ch):

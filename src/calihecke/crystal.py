@@ -128,9 +128,9 @@ def reachable_by_size(n, ch):
     return layers
 
 
-def _downs(mp, ch):
-    """[(i, e_tilde(mp, i))] over the residues i at which e_tilde acts,
-    from one signature."""
+def e_tilde_images(mp, ch):
+    """[(i, e_tilde(mp, ch, i))] over the residues i at which e_tilde acts,
+    from one signature, in the signature's order."""
     out = []
     for i, word in residue_signature(mp, ch).items():
         _, minus = _good_boxes(word)
@@ -159,7 +159,7 @@ def _crystal_fold(s, e):
     def fold(mp):
         out = memo.get(mp)
         if out is None:
-            downs = _downs(mp, ch)
+            downs = e_tilde_images(mp, ch)
             reachable, stutters = not any(mp), False
             for i, down in downs:
                 down_reachable, down_stutters, down_residues = fold(down)

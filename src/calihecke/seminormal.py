@@ -7,6 +7,12 @@ q = zeta^a, zeta = exp(2*pi*i/e)).  All matrix arithmetic is exact in
 Q(zeta_e); operators are kept column-sparse (at most two entries per
 column).
 
+Along an edge s_i of a weight class, whether s_i is admissible, T_i's two
+entries, the form ratio A_{s_i b}/A_b and its sign depend only on
+b_i/b_{i+1} = zeta^(a*d), d = (m_i - m_{i+1}) mod e.  So T_i, the form
+values and the form signs all read one edge list per class (_class_edges),
+and the entries and the ratio are cached by (e, a, d).
+
 T_i moves a basis vector only within the span of w_m and w_{s_i m}, and X_k
 is diagonal, so every relation and every invariance condition, read on one
 column, involves only the orbit of that column under the operators it
@@ -86,10 +92,10 @@ class SeminormalModule:
         self.e = e
         self.a = a
         self.n = len(cls[0])
-        self.index = {b: i for i, b in enumerate(self.cls)}
         self.q = Cyc.zeta_power(e, a)
         self.X = [self._x_op(k) for k in range(1, self.n + 1)]
-        self.T = [self._t_op(k) for k in range(1, self.n)]
+        edges = _class_edges(tuple(self.cls), e)
+        self.T = [self._t_op(edges, k) for k in range(1, self.n)]
 
     def dim(self):
         return len(self.cls)
@@ -101,28 +107,23 @@ class SeminormalModule:
     def _x_op(self, k):
         return [[(j, self._b(wt, k))] for j, wt in enumerate(self.cls)]
 
-    def _t_op(self, i):
-        e = self.e
+    def _t_op(self, edges, i):
+        """Column j: the diagonal entry, and the off-diagonal one at s_i m."""
         cols = []
-        for j, wt in enumerate(self.cls):
-            diag, off = _t_entries(e, self.a, wt[i - 1] % e, wt[i] % e)
-            col = [(j, diag)]
-            if admissible_transposition(wt, i, e):
-                swapped = list(wt)
-                swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                col.append((self.index[tuple(swapped)], off))
-            cols.append(col)
+        for j, out in enumerate(edges):
+            k, d = out[i - 1]
+            diag, off = _t_entries(self.e, self.a, d)
+            cols.append([(j, diag)] if k is None else [(j, diag), (k, off)])
         return cols
 
 
 @lru_cache(maxsize=None)
-def _t_entries(e, a, mi, mi1):
-    """The T_i entries at a weight with (m_i, m_{i+1}) = (mi, mi1) mod e:
-    the diagonal b_{i+1}(q - 1)/(b_{i+1} - b_i) and the off-diagonal
-    diagonal - q.  At most e^2 pairs per (e, a)."""
-    q = Cyc.zeta_power(e, a)
-    bi, bi1 = Cyc.zeta_power(e, a * mi), Cyc.zeta_power(e, a * mi1)
-    diag = bi1 * (q - 1) / (bi1 - bi)
+def _t_entries(e, a, d):
+    """The T_i entries at d = (m_i - m_{i+1}) mod e: the diagonal
+    b_{i+1}(q - 1)/(b_{i+1} - b_i) = (q - 1)/(1 - r), r = b_i/b_{i+1} =
+    zeta^(a*d), and the off-diagonal diagonal - q."""
+    q, r = Cyc.zeta_power(e, a), Cyc.zeta_power(e, a * d)
+    diag = (q - 1) / (1 - r)
     return diag, diag - q
 
 
@@ -259,23 +260,39 @@ def verify_hecke_relations(mod):
     return report
 
 
-def _propagate(cls, e, start, step, inconsistent):
-    """Values on the weight class cls, start at cls[0], carried along every
-    admissible transposition s_i: the value at s_i b is the value at b times
-    step(b, i).  Raises ValueError(inconsistent) when two paths disagree."""
+@lru_cache(maxsize=1)
+def _class_edges(cls, e):
+    """The adjacency of the weight class cls (a tuple): per weight, in the
+    order of cls, one (k, d) per i = 1..n-1, with k the index of s_i m when
+    s_i is admissible (and m_i != m_{i+1}), else None, and d = (m_i -
+    m_{i+1}) mod e.  One entry: a module, its form values and signs, and
+    the sweeps over a ask for one class one after another."""
     index = {b: j for j, b in enumerate(cls)}
-    adj = {}
-    for j, wt in enumerate(cls):
+    edges = []
+    for wt in cls:
+        out = []
         for i in range(1, len(wt)):
+            k = None
             if wt[i - 1] != wt[i] and admissible_transposition(wt, i, e):
-                swapped = wt[:i - 1] + (wt[i], wt[i - 1]) + wt[i + 1:]
-                adj.setdefault(j, []).append((index[swapped], i))
+                k = index[wt[:i - 1] + (wt[i], wt[i - 1]) + wt[i + 1:]]
+            out.append((k, (wt[i - 1] - wt[i]) % e))
+        edges.append(tuple(out))
+    return tuple(edges)
+
+
+def _propagate(cls, e, start, step, inconsistent):
+    """Values on the weight class cls (a tuple), start at cls[0], carried
+    along the edges of _class_edges: the value at s_i m is the value at m
+    times step(d).  Raises ValueError(inconsistent) when two paths disagree."""
+    edges = _class_edges(cls, e)
     vals = {0: start}
-    frontier = [0]
+    frontier = [0] if cls else []
     while frontier:
         j = frontier.pop()
-        for k, i in adj.get(j, []):
-            target = vals[j] * step(cls[j], i)
+        for k, d in edges[j]:
+            if k is None:
+                continue
+            target = vals[j] * step(d)
             if k in vals:
                 if vals[k] != target:
                     raise ValueError(inconsistent)
@@ -287,25 +304,6 @@ def _propagate(cls, e, start, step, inconsistent):
     return [vals[j] for j in range(len(cls))]
 
 
-@lru_cache(maxsize=1)
-def _class_edges(cls, e):
-    """The edges of the sorted weight class cls: for each weight, in class
-    order, a tuple of (neighbour index, (m_i - m_{i+1}) mod e) over the
-    admissible transpositions s_i with m_i != m_{i+1}, in order of i.  One
-    entry: the sweeps, the locus oracle and the benchmark ask for the
-    values of a of one class one after another."""
-    index = {b: j for j, b in enumerate(cls)}
-    edges = []
-    for wt in cls:
-        out = []
-        for i in range(1, len(wt)):
-            if wt[i - 1] != wt[i] and admissible_transposition(wt, i, e):
-                swapped = wt[:i - 1] + (wt[i], wt[i - 1]) + wt[i + 1:]
-                out.append((index[swapped], (wt[i - 1] - wt[i]) % e))
-        edges.append(tuple(out))
-    return tuple(edges)
-
-
 def class_form_signs(cls, e, a=1):
     """Signs of the diagonal form values A_b on a sorted weight class,
     propagated from the lexicographically least weight (sign +1) along
@@ -313,35 +311,23 @@ def class_form_signs(cls, e, a=1):
     sign(A_{s_i b}/A_b) = sign(Re(q) - Re(b_i/b_{i+1})), decided exactly by
     re_compare on exponents.  No matrices are needed.
 
-    The class's edges are cached per (class, e), and the sign of an edge
-    depends only on d = (m_i - m_{i+1}) mod e, so re_compare runs once per
-    difference d that the walk meets."""
+    The sign of an edge depends only on d = (m_i - m_{i+1}) mod e, so
+    re_compare runs once per difference d that the walk meets."""
     cls = tuple(sorted(cls))
-    edges = _class_edges(cls, e)
-    step = {}  # d -> the sign along an edge of difference d
+    signs = {}  # d -> the sign along an edge of difference d
 
-    vals = {0: 1}
-    frontier = [0] if cls else []
-    while frontier:
-        j = frontier.pop()
-        for k, d in edges[j]:
-            sign = step.get(d)
-            if sign is None:
-                # Re(q) against Re(b_i / b_{i+1}) at the source weight
-                cmp = re_compare(a, a * d, e)
-                if cmp == 0:
-                    raise ValueError("wall weight: Re(ratio) = Re(q) inside a class")
-                sign = step[d] = 1 if cmp > 0 else -1
-            target = vals[j] * sign
-            if k in vals:
-                if vals[k] != target:
-                    raise ValueError("inconsistent sign propagation around a cycle")
-            else:
-                vals[k] = target
-                frontier.append(k)
-    if len(vals) != len(cls):
-        raise ValueError("weight class is not connected by admissible transpositions")
-    return {b: vals[j] for j, b in enumerate(cls)}
+    def step(d):
+        sign = signs.get(d)
+        if sign is None:
+            # Re(q) against Re(b_i / b_{i+1}) at the source weight
+            cmp = re_compare(a, a * d, e)
+            if cmp == 0:
+                raise ValueError("wall weight: Re(ratio) = Re(q) inside a class")
+            sign = signs[d] = 1 if cmp > 0 else -1
+        return sign
+
+    vals = _propagate(cls, e, 1, step, "inconsistent sign propagation around a cycle")
+    return dict(zip(cls, vals))
 
 
 def form_signs(mod):
@@ -353,23 +339,17 @@ def form_values(mod):
     base weight normalized to A = 1, propagated by the ratio
     A_{s_i b} / A_b = (b_i - q b_{i+1}) / (q b_i - b_{i+1}), which is what
     form invariance under T_i forces."""
-
     e, a = mod.e, mod.a
-
-    def step(wt, i):
-        return _form_ratio(e, a, wt[i - 1] % e, wt[i] % e)
-
-    return _propagate(mod.cls, e, Cyc.one(e), step,
+    return _propagate(tuple(mod.cls), e, Cyc.one(e), lambda d: _form_ratio(e, a, d),
                       "inconsistent form values around a cycle")
 
 
 @lru_cache(maxsize=None)
-def _form_ratio(e, a, mi, mi1):
-    """A_{s_i b} / A_b = (b_i - q b_{i+1}) / (q b_i - b_{i+1}) at a weight
-    with (m_i, m_{i+1}) = (mi, mi1) mod e.  At most e^2 pairs per (e, a)."""
-    q = Cyc.zeta_power(e, a)
-    bi, bi1 = Cyc.zeta_power(e, a * mi), Cyc.zeta_power(e, a * mi1)
-    return (bi - q * bi1) / (q * bi - bi1)
+def _form_ratio(e, a, d):
+    """A_{s_i b} / A_b = (b_i - q b_{i+1}) / (q b_i - b_{i+1}) = (r - q)/(q r - 1)
+    at d = (m_i - m_{i+1}) mod e, r = b_i/b_{i+1} = zeta^(a*d)."""
+    q, r = Cyc.zeta_power(e, a), Cyc.zeta_power(e, a * d)
+    return (r - q) / (q * r - 1)
 
 
 def is_unitary_class(mod):

@@ -41,7 +41,7 @@ def classification_sweep(es, levels, n_max):
     = Cali, crystal-reachable (breadth-first from the empty multipartition)
     = FLOTW, and e-tilde keeps a Cali multipartition Cali."""
     from .calibration import is_cali, is_flotw
-    from .crystal import e_tilde, is_no_stuttering, reachable_by_size
+    from .crystal import e_tilde_images, is_no_stuttering, reachable_by_size
 
     for e in es:
         for ell in levels:
@@ -56,9 +56,8 @@ def classification_sweep(es, levels, n_max):
                         yield Record("reachable=flotw", case,
                                      (mp in layers[n]) == is_flotw(mp, ch))
                         if cali:
-                            downs = (e_tilde(mp, ch, i) for i in range(e))
                             yield Record("e_tilde_keeps_cali", case,
-                                         all(d is None or is_cali(d, ch) for d in downs))
+                                         all(is_cali(d, ch) for _, d in e_tilde_images(mp, ch)))
 
 
 def seminormal_modules(es, ns):

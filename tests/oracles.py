@@ -31,7 +31,8 @@ multipartition of |la| and drops those too tall for the frame afterwards.
 ``admissible_transposition_reduced`` is the original admissibility test,
 which reduces the whole weight mod e before comparing two of its entries.
 ``class_form_signs_per_edge`` is the original form-sign propagation, which
-rebuilds the class's adjacency and calls ``re_compare`` once per edge.
+builds its own adjacency of the class with the reduced admissibility test,
+walks it, and calls ``re_compare`` once per edge.
 ``i_word_scan`` is the original i-word, which rescans every box of the
 multipartition for one residue; ``f_tilde_scan`` and ``e_tilde_scan`` read
 the reduced scanned word, ``reachable_by_size_scan`` is the breadth-first
@@ -67,7 +68,7 @@ from calihecke.multipartitions import (
     tableau_boxes_by_entry,
     tableau_degree,
 )
-from calihecke.seminormal import _propagate, form_values
+from calihecke.seminormal import form_values
 
 
 def _polydivmod(num, den):
@@ -593,18 +594,35 @@ def admissible_transposition_reduced(m, i, e):
 def class_form_signs_per_edge(cls, e, a=1):
     """Signs of the diagonal form values A_b on a sorted weight class,
     propagated from the least weight (sign +1) along admissible
-    transpositions, with one re_compare of Re(q) against Re(b_i/b_{i+1})
-    per edge."""
-
-    def step(wt, i):
-        cmp = re_compare(a, a * (wt[i - 1] - wt[i]), e)
-        if cmp == 0:
-            raise ValueError("wall weight: Re(ratio) = Re(q) inside a class")
-        return 1 if cmp > 0 else -1
-
+    transpositions, with its own adjacency of the class and one re_compare
+    of Re(q) against Re(b_i/b_{i+1}) per edge."""
     cls = sorted(cls)
-    signs = _propagate(cls, e, 1, step, "inconsistent sign propagation around a cycle")
-    return dict(zip(cls, signs))
+    index = {b: j for j, b in enumerate(cls)}
+    adj = {}
+    for j, wt in enumerate(cls):
+        for i in range(1, len(wt)):
+            if wt[i - 1] != wt[i] and admissible_transposition_reduced(wt, i, e):
+                swapped = wt[:i - 1] + (wt[i], wt[i - 1]) + wt[i + 1:]
+                adj.setdefault(j, []).append((index[swapped], i))
+    vals = {0: 1}
+    frontier = [0]
+    while frontier:
+        j = frontier.pop()
+        for k, i in adj.get(j, []):
+            wt = cls[j]
+            cmp = re_compare(a, a * (wt[i - 1] - wt[i]), e)
+            if cmp == 0:
+                raise ValueError("wall weight: Re(ratio) = Re(q) inside a class")
+            target = vals[j] * (1 if cmp > 0 else -1)
+            if k in vals:
+                if vals[k] != target:
+                    raise ValueError("inconsistent sign propagation around a cycle")
+            else:
+                vals[k] = target
+                frontier.append(k)
+    if len(vals) != len(cls):
+        raise ValueError("weight class is not connected by admissible transpositions")
+    return {b: vals[j] for j, b in enumerate(cls)}
 
 
 def i_word_scan(mp, ch, i):

@@ -259,7 +259,7 @@ def test_block_is_built_once_per_label(monkeypatch):
     assert euler["ok"] and conventions[1]
     assert mod.dim() == euler["fundamental_paths"] == 22
     assert len(posets) == 1 and poset.nodes[0] == la
-    tested[la] -= 2  # the label's entry checks, one by its Block, one by its KLR module
+    tested[la] -= 2  # the label's entry checks, one by its block poset, one by its KLR module
     assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
 
 
@@ -273,7 +273,7 @@ def test_labels_of_one_frame_test_each_prefix_shape_once(monkeypatch):
         assert build_klr_module(la, ch, hbar).dim() == euler["fundamental_paths"]
     assert labels[0] in tested  # the smaller label is a prefix shape of the larger
     for la in labels:
-        tested[la] -= 2  # each label's entry checks, by its Block and by its KLR module
+        tested[la] -= 2  # each label's entry checks, by its block poset and by its KLR module
     assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
 
 

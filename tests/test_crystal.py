@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 from calihecke.crystal import (
     build_from_word,
     e_tilde,
+    e_tilde_images,
     f_tilde,
     i_word,
     is_no_stuttering,
@@ -128,6 +129,9 @@ def test_signature_route_matches_the_scan_oracle():
                             assert f_tilde(mp, ch, i) == f_tilde_scan(mp, ch, i)
                             assert e_tilde(mp, ch, i) == e_tilde_scan(mp, ch, i)
                             checked += 1
+                        images = ((i, e_tilde_scan(mp, ch, i)) for i in range(e))
+                        assert sorted(e_tilde_images(mp, ch)) == \
+                            [(i, down) for i, down in images if down is not None]
     assert checked == 82353
 
 

@@ -392,19 +392,25 @@ def test_corrupted_operator_fails_invariance():
         assert [name for name, ok in sparse.items() if not ok] == ["T_1"], (e, a)
 
 
-def test_cached_form_ratio_matches_the_formula():
-    # every residue pair, every e 2..6 and coprime a; the formula has a pole
-    # where b_{i+1} = q b_i, and the cached ratio must raise there too
+def _coprime_pairs():
+    """(e, a, mi, mi1) for every e 2..6, a coprime to e and residue pair."""
     for e in range(2, 7):
         for a in (a for a in range(1, e) if gcd(a, e) == 1):
-            q = Cyc.zeta_power(e, a)
             for mi, mi1 in itertools.product(range(e), repeat=2):
-                bi, bi1 = Cyc.zeta_power(e, a * mi), Cyc.zeta_power(e, a * mi1)
-                if (q * bi - bi1).is_zero():
-                    with pytest.raises(ZeroDivisionError):
-                        _form_ratio(e, a, mi, mi1)
-                else:
-                    assert _form_ratio(e, a, mi, mi1) == (bi - q * bi1) / (q * bi - bi1)
+                yield e, a, mi, mi1
+
+
+def test_cached_form_ratio_matches_the_formula():
+    # every residue pair, keyed by its difference; the pair formula has a
+    # pole where b_{i+1} = q b_i, and the cached ratio must raise there too
+    for e, a, mi, mi1 in _coprime_pairs():
+        q = Cyc.zeta_power(e, a)
+        bi, bi1 = Cyc.zeta_power(e, a * mi), Cyc.zeta_power(e, a * mi1)
+        if (q * bi - bi1).is_zero():
+            with pytest.raises(ZeroDivisionError):
+                _form_ratio(e, a, (mi - mi1) % e)
+        else:
+            assert _form_ratio(e, a, (mi - mi1) % e) == (bi - q * bi1) / (q * bi - bi1)
 
 
 @st.composite
@@ -443,9 +449,14 @@ def test_warm_memo_matches_the_oracles_on_corrupted_modules(modules):
 
 
 def test_cached_t_entries_match_the_formula():
-    for e, a in [(4, 1), (5, 2), (6, 5)]:
+    # every residue pair, keyed by its difference; the pair formula has a
+    # pole where b_{i+1} = b_i, and the cached entries must raise there too
+    for e, a, mi, mi1 in _coprime_pairs():
         q = Cyc.zeta_power(e, a)
-        for mi, mi1 in itertools.permutations(range(e), 2):
-            bi, bi1 = Cyc.zeta_power(e, a * mi), Cyc.zeta_power(e, a * mi1)
+        bi, bi1 = Cyc.zeta_power(e, a * mi), Cyc.zeta_power(e, a * mi1)
+        if (bi1 - bi).is_zero():
+            with pytest.raises(ZeroDivisionError):
+                _t_entries(e, a, (mi - mi1) % e)
+        else:
             diag = bi1 * (q - 1) / (bi1 - bi)
-            assert _t_entries(e, a, mi, mi1) == (diag, diag - q)
+            assert _t_entries(e, a, (mi - mi1) % e) == (diag, diag - q)
