@@ -18,9 +18,10 @@ solution supported on the greedy column basis, every other edge +1.
 The KLR relations are checked on windows, not on paths.  psi_k changes
 only steps k and k+1 of a basis path of D(lambda), so every relation reads
 at most three consecutive steps with the rest of the path fixed: R3 and
-swap closure read two-step windows, R5 three-step windows, the cyclotomic
-relation the first step, and R1 and R2 (every distance) and R4 follow from
-closure or hold by construction (verify_klr_relations).  A window is a
+swap closure read two-step windows, R5 is one residue predicate on
+three-step windows (no i_k = i_{k+2} = i_{k+1} +- 1), the cyclotomic
+relation reads the first step, and R1, R2 (every distance) and R4 follow
+from closure or hold by construction (verify_klr_relations).  A window is a
 prefix shape the frame's alcove fold reaches and the steps after it, so
 the frame's handful of shapes stand in for its paths, which can number in
 the trillions.
@@ -29,7 +30,7 @@ Graded characters are Laurent polynomials in t stored as dicts
 degree -> coefficient.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .alcoves import (
     _path_fold,
@@ -324,36 +325,10 @@ def _far(x, y, e):
     return (x - y) % e not in (0, 1, e - 1)
 
 
-def _braid_correction(x, y, z, e):
-    """c in psi_k psi_{k+1} psi_k e(i) = (psi_{k+1} psi_k psi_{k+1} + c) e(i),
-    the y_r acting by 0, for the residues (x, y, z) = (i_k, i_{k+1}, i_{k+2})."""
-    if x == z == (y + 1) % e:
-        return -1
-    if x == z == (y - 1) % e:
-        return 1
-    return 0
-
-
-@lru_cache(maxsize=None)
-def _braid_holds(x, y, z, e):
-    """R5 on the columns of one three-step window of residues (x, y, z).
-    The window's boxes are distinct, so its positions 0, 1, 2 stand for
-    them: psi_k and psi_{k+1} swap positions 0-1 and 1-2 or kill, and each
-    side is a column over the permutations of the window."""
-    def psi(k, w):
-        if w is None or not _far(w[k][0], w[k + 1][0], e):
-            return None
-        return w[:k] + (w[k + 1], w[k]) + w[k + 2:]
-
-    window = ((x, 0), (y, 1), (z, 2))
-    lhs = psi(0, psi(1, psi(0, window)))
-    rhs = psi(1, psi(0, psi(1, window)))
-    col = {} if rhs is None else {rhs: 1}
-    c = _braid_correction(x, y, z, e)
-    if c:
-        col[window] = col.get(window, 0) + c
-    col = {w: v for w, v in col.items() if v}
-    return col == ({} if lhs is None else {lhs: 1})
+def _braid_fails(x, y, z, e):
+    """R5 fails on the three-step window of residues (x, y, z): both braid
+    words vanish there, and the correction at x = z = y -+ 1 is left."""
+    return x == z and (y - x) % e in (1, e - 1)
 
 
 @lru_cache(maxsize=None)
@@ -365,17 +340,14 @@ def _klr_fold(ch, hbar):
     the frame reuses the shapes its earlier labels checked.  A verdict is
     an int of the _CLOSED, _R3, _R5 and _CYCLOTOMIC bits.
 
-    The frame keeps its memo of verdicts and, next to it, the down-steps
-    (box, residue, smaller shape) of each shape it walked, both bound to
-    _klr_verdict; every key is a shape of the frame's alcove fold.
+    The returned value closes over the frame's memo of verdicts and, next
+    to it, the down-steps (box, residue, smaller shape) of each shape it
+    walked; every key is a shape of the frame's alcove fold.
     """
-    return partial(_klr_verdict, _path_fold(ch, hbar), ch, {}, {})
-
-
-def _klr_verdict(fold, ch, memo, steps, la):
-    """The verdict at la, through the frame's memo and down-steps."""
+    fold = _path_fold(ch, hbar)
     e = ch.e
     targets = {s % e for s in ch.s}
+    memo, steps = {}, {}
 
     def down(shape):
         out = steps.get(shape)
@@ -402,13 +374,13 @@ def _klr_verdict(fold, ch, memo, steps, la):
                 if _far(y, z, e) and not fold(remove_box(nu, b)):
                     ok &= ~_CLOSED
                 for _, x, _ in down(nu2):  # the window nu3 -> a -> b -> c
-                    if not _braid_holds(x, y, z, e):
+                    if _braid_fails(x, y, z, e):
                         ok &= ~_R5
             ok &= value(nu1)
         memo[nu] = ok
         return ok
 
-    return value(la)
+    return value
 
 
 def verify_klr_relations(mod):
@@ -428,8 +400,11 @@ def verify_klr_relations(mod):
       mu + b must be a shape of the fold, so that the swapped path lies in
       Path^F(lambda) again.
     - R5, the braid relation with its +-1 correction on the columns
-      i_k = i_{k+2} = i_{k+1} -+ 1, reads the three-step windows, column by
-      column: both sides permute the window's three steps.
+      i_k = i_{k+2} = i_{k+1} -+ 1, reads the three-step windows.  Each
+      braid word kills the window unless all three residue pairs are far,
+      and then both reverse it; so both kill the corrected columns, where
+      i_k = i_{k+2}, and R5 fails exactly there (_braid_fails), whatever
+      the sign of the correction.
     - cyclotomic reads the first step: y_1^c e(i) = 0 with
       c = #{m : s_m = i_1} only bites at c = 0, so no path may start with a
       residue outside {s_m mod e}.

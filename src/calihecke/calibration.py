@@ -55,20 +55,16 @@ def _row(comp, k):
 
 
 def _is_cylindrical_mp(mp, ch):
-    """lambda^j_k >= lambda^{j+1}_{k + s_{j+1} - s_j} and the wrap-around
-    condition lambda^ell_k >= lambda^1_{k + e + s_1 - s_ell}."""
+    """lambda^m_k >= lambda^{m+1}_{k + shift} for each of the ell cyclic
+    neighbour pairs (m, m+1 mod ell): shift = s_{m+1} - s_m, and
+    e + s_1 - s_ell for the wrap-around pair (ell, 1)."""
     s, e, ell = ch.s, ch.e, len(mp)
-    for j in range(1, ell):
-        shift = s[j] - s[j - 1]
-        comp, nxt = mp[j - 1], mp[j]
+    for m in range(ell):
+        shift = s[m + 1] - s[m] if m + 1 < ell else e + s[0] - s[-1]
+        comp, nxt = mp[m], mp[(m + 1) % ell]
         for k in range(1, len(nxt) + len(comp) + 1):
             if _row(comp, k) < _row(nxt, k + shift):
                 return False
-    shift = e + s[0] - s[-1]
-    comp, nxt = mp[-1], mp[0]
-    for k in range(1, len(nxt) + len(comp) + 1):
-        if _row(comp, k) < _row(nxt, k + shift):
-            return False
     return True
 
 

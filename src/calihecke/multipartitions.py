@@ -10,6 +10,7 @@ component and a quantum characteristic e; the charged content of a box
 
 from functools import lru_cache
 from itertools import permutations
+from operator import le
 from typing import NamedTuple
 
 
@@ -366,25 +367,31 @@ def dominates(mu, la, ch):
     return signature_dominates(dominance_signature(mu, ch), dominance_signature(la, ch))
 
 
+def keys_by_residue(mp, ch):
+    """{i: the box_keys of mp's boxes of residue i}, unsorted, in box order:
+    the search's input, built box by box apart from dominance_signature."""
+    out = {}
+    for b in boxes(mp):
+        out.setdefault(residue(b, ch), []).append(box_key(b, ch))
+    return out
+
+
 def dominates_by_search(mu, la, ch):
     """Test mu >= la by the definition: search every residue-preserving
     bijection from the boxes of mu onto those of la for one that moves every
     box weakly down the dominance order.  Exponential in the boxes of one
     residue; the reference that dominates is checked against."""
+    return search_dominates(keys_by_residue(mu, ch), keys_by_residue(la, ch))
 
-    def keys_by_residue(mp):
-        out = {}
-        for b in boxes(mp):
-            out.setdefault(residue(b, ch), []).append(box_key(b, ch))
-        return out
 
-    ku, kl = keys_by_residue(mu), keys_by_residue(la)
+def search_dominates(ku, kl):
+    """dominates_by_search on the keys_by_residue of mu and of la, so that a
+    sweep builds each multipartition's key lists once."""
     if ku.keys() != kl.keys():
         return False
     for i, up in ku.items():
         down = kl[i]
-        if len(up) != len(down) or not any(all(l <= up[j] for l, j in zip(down, perm))
-                                           for perm in permutations(range(len(up)))):
+        if len(up) != len(down) or not any(all(map(le, down, perm)) for perm in permutations(up)):
             return False
     return True
 

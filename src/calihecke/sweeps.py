@@ -160,22 +160,24 @@ def degree_sweep(es, levels, h_max, n_max):
 def dominance_sweep(es, levels, n_max):
     """Criterion 14 on every ordered pair of multipartitions of one size
     <= n_max: the greedy dominance test agrees with the bijection search."""
-    from .multipartitions import dominance_signature, dominates_by_search, signature_dominates
+    from .multipartitions import (dominance_signature, keys_by_residue, search_dominates,
+                                  signature_dominates)
 
     for e in es:
         for ell in levels:
             for ch in charges(e, ell):
                 for n in range(n_max + 1):
-                    # _case's text and the dominance signature, each once per
-                    # multipartition: per pair they cost more than the check
-                    mps = [(mp, str(mp).replace(" ", ""), dominance_signature(mp, ch))
-                           for mp in multipartitions_of(n, ell)]
+                    # _case's text, the dominance signature and the oracle's
+                    # key lists, each once per multipartition: per pair they
+                    # cost more than either check
+                    mps = [(str(mp).replace(" ", ""), dominance_signature(mp, ch),
+                            keys_by_residue(mp, ch)) for mp in multipartitions_of(n, ell)]
                     charge = _case(e=e, s=ch.s)
-                    for mu, mu_text, mu_sig in mps:
-                        for la, la_text, la_sig in mps:
+                    for mu_text, mu_sig, mu_keys in mps:
+                        for la_text, la_sig, la_keys in mps:
                             yield Record("dominance", f"{charge} mu={mu_text} la={la_text}",
                                          signature_dominates(mu_sig, la_sig)
-                                         == dominates_by_search(mu, la, ch))
+                                         == search_dominates(mu_keys, la_keys))
 
 
 def locus_sweep(ns, es):

@@ -512,6 +512,25 @@ def braid_correction(x, y, z, e):
     return 0
 
 
+def braid_holds_on_window(x, y, z, e):
+    """R5 at y = 0 on one three-step window of residues (x, y, z), from the
+    words: psi_k psi_{k+1} psi_k and psi_{k+1} psi_k psi_{k+1} applied to
+    the window, the correction added to the second.  The window's steps are
+    distinct, so positions 0, 1, 2 stand for them: psi swaps two adjacent
+    positions whose residues are far, and kills the window otherwise."""
+    def psi(k, w):
+        if w is None or (w[k][0] - w[k + 1][0]) % e in (0, 1, e - 1):
+            return None
+        return w[:k] + (w[k + 1], w[k]) + w[k + 2:]
+
+    window = ((x, 0), (y, 1), (z, 2))
+    lhs = psi(0, psi(1, psi(0, window)))
+    rhs = psi(1, psi(0, psi(1, window)))
+    col = {} if rhs is None else {rhs: 1}
+    col[window] = col.get(window, 0) + braid_correction(x, y, z, e)
+    return {w: v for w, v in col.items() if v} == ({} if lhs is None else {lhs: 1})
+
+
 def covers_all_pairs(poset):
     """Edges (mu, nu) with length(nu) = length(mu) - 1 and mu, nu related by
     an affine reflection (coordinate difference proportional to a root),

@@ -32,10 +32,12 @@ from calihecke.multipartitions import (
 )
 from calihecke.sweeps import SUITES, frames
 from conftest import clear_package_caches
+import oracles
 from oracles import (
     ColumnKLRModule,
     alcove_filtered_basis,
     braid_correction,
+    braid_holds_on_window,
     column_klr_relations,
     covers_all_pairs,
     dominance_block_full,
@@ -433,13 +435,30 @@ def test_a_swap_that_leaves_the_fold_fails_closure(monkeypatch):
     assert other.dim() == 2 and all(verify_klr_relations(other).values())
 
 
-def test_braid_correction_matches_the_oracle():
+def test_braid_predicate_matches_the_window_rule():
+    # the window rule applies both braid words to the window and adds the
+    # correction; the predicate must fail R5 on exactly the windows it fails
+    fails = Counter()
     for e in range(3, 9):
-        for x in range(e):
-            for y in range(e):
-                for z in range(e):
-                    assert bgg._braid_correction(x, y, z, e) == braid_correction(x, y, z, e)
-    assert bgg._braid_correction(1, 0, 1, 5) == -1 and bgg._braid_correction(4, 0, 4, 5) == 1
+        for x, y, z in itertools.product(range(e), repeat=3):
+            assert bgg._braid_fails(x, y, z, e) == (not braid_holds_on_window(x, y, z, e)), (x, y, z, e)
+            fails[e] += bgg._braid_fails(x, y, z, e)
+    assert all(fails[e] == 2 * e for e in range(3, 9))
+    assert braid_correction(1, 0, 1, 5) == -1 and braid_correction(4, 0, 4, 5) == 1
+
+
+def test_r5_fails_end_to_end_without_the_alcove_filter(monkeypatch):
+    # with the unfiltered fold, Path^F is every standard tableau: the label's
+    # six paths include the residue sequences 1, 0, 1 (R5) and 0, 1, 1 (R3)
+    la, ch, hbar = ((2,), (2,)), Charge((0, 1), 5), (1, 1)
+    fold = tableau_sums()
+    monkeypatch.setattr(bgg, "_path_fold", lambda c, h: fold)
+    monkeypatch.setattr(oracles, "_path_fold", lambda c, h: fold)
+    mod = build_klr_module(la, ch, hbar)
+    assert mod.dim() == 6
+    report = verify_klr_relations(mod)
+    assert report == column_klr_relations(ColumnKLRModule(la, ch, hbar))
+    assert [key for key, ok in report.items() if not ok] == ["R3", "R5"]
 
 
 def test_klr_verdicts_are_shared_by_the_labels_of_a_frame(monkeypatch):
