@@ -22,6 +22,11 @@ time and memoise the verdict on the orbit's local submatrices, relabelled
 checked once.  The relations come from one table per (n, e, a).  Form
 invariance is checked as an isometry, M^dagger G M = G for every T_i and
 X_k, so no inverse operator is built.
+
+Both checks first ask whether the module is exactly its construction
+(is_construction).  If it is, the rows that hold for any entry values
+(the commutation relations, and the invariance of X_k) are read off that
+answer; the rows that depend on the entry formula are always walked.
 """
 
 from functools import lru_cache
@@ -93,28 +98,56 @@ class SeminormalModule:
         self.a = a
         self.n = len(cls[0])
         self.q = Cyc.zeta_power(e, a)
-        self.X = [self._x_op(k) for k in range(1, self.n + 1)]
+        self.X = [_x_op(self.cls, e, a, k) for k in range(self.n)]
         edges = _class_edges(tuple(self.cls), e)
-        self.T = [self._t_op(edges, k) for k in range(1, self.n)]
+        self.T = [_t_op(edges, e, a, i) for i in range(self.n - 1)]
 
     def dim(self):
         return len(self.cls)
 
-    def _b(self, wt, k):
-        """Eigenvalue b_k = zeta^(a*m_k) at the weight wt."""
-        return Cyc.zeta_power(self.e, self.a * wt[k - 1])
 
-    def _x_op(self, k):
-        return [[(j, self._b(wt, k))] for j, wt in enumerate(self.cls)]
+def _x_op(cls, e, a, k):
+    """X_{k+1} on the class cls: column j is the eigenvalue b = zeta^(a*m)
+    at j, m = cls[j][k], read off the power table of (e, a)."""
+    power = _zeta_powers(e, a)
+    return [[(j, power[wt[k] % e])] for j, wt in enumerate(cls)]
 
-    def _t_op(self, edges, i):
-        """Column j: the diagonal entry, and the off-diagonal one at s_i m."""
-        cols = []
-        for j, out in enumerate(edges):
-            k, d = out[i - 1]
-            diag, off = _t_entries(self.e, self.a, d)
-            cols.append([(j, diag)] if k is None else [(j, diag), (k, off)])
-        return cols
+
+def _t_op(edges, e, a, i):
+    """T_{i+1} on a class with the edge list edges (see _class_edges):
+    column j is the diagonal entry of _t_entries(e, a, d) at j and, where
+    the edge list gives the index of s_{i+1} m, the off-diagonal one
+    there."""
+    cols = []
+    for j, out in enumerate(edges):
+        k, d = out[i]
+        diag, off = _t_entries(e, a, d)
+        cols.append([(j, diag)] if k is None else [(j, diag), (k, off)])
+    return cols
+
+
+def is_construction(mod):
+    """Is mod exactly its construction: is every stored X_k and T_i the
+    column map that _x_op and _t_op build on mod.cls?  This takes table
+    lookups and O(dim * n) comparisons of entries already built, one
+    operator at a time, with no arithmetic; the entries the construction
+    shares compare by identity.  A module whose entries changed after it
+    was built fails."""
+    e, a, cls = mod.e, mod.a, mod.cls
+    for k in range(mod.n):
+        if mod.X[k] != _x_op(cls, e, a, k):
+            return False
+    edges = _class_edges(tuple(cls), e)
+    for i in range(mod.n - 1):
+        if mod.T[i] != _t_op(edges, e, a, i):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(e, a):
+    """zeta^(a*m) for m = 0..e-1: every eigenvalue b_k that X_k holds."""
+    return tuple(Cyc.zeta_power(e, a * m) for m in range(e))
 
 
 @lru_cache(maxsize=None)
@@ -205,6 +238,10 @@ def _unflatten_columns(e, flat):
     return cols
 
 
+# the shape of a commutation row, A B = B A, in _relation_table
+_COMMUTE = (((None, (0, 1)),), ((None, (1, 0)),))
+
+
 @lru_cache(maxsize=None)
 def _relation_table(n, e, a):
     """The defining relations at (n, e, a) in report order, as rows (name,
@@ -213,20 +250,19 @@ def _relation_table(n, e, a):
     (num, den) or None and the operators as positions in slots."""
     zq = Cyc.zeta_power(e, a)
     q, q1 = (zq.num, zq.den), ((zq - 1).num, (zq - 1).den)  # as (num, den)
-    commute = (((None, (0, 1)),), ((None, (1, 0)),))
     x = n - 2  # X_k is at x + k
     # (T_i + 1)(T_i - q) = 0  <=>  T_i^2 = (q - 1) T_i + q
     rows = [(f"quadratic_{i}", (i - 1,), (((None, (0, 0)),), ((q1, (0,)), (q, ()))))
             for i in range(1, n)]
     rows += [(f"braid_{i}", (i - 1, i), (((None, (0, 1, 0)),), ((None, (1, 0, 1)),)))
              for i in range(1, n - 1)]
-    rows += [(f"distant_{i}_{j}", (i - 1, j - 1), commute)
+    rows += [(f"distant_{i}_{j}", (i - 1, j - 1), _COMMUTE)
              for i in range(1, n) for j in range(i + 2, n)]
-    rows += [(f"xcomm_{i}_{j}", (x + i, x + j), commute)
+    rows += [(f"xcomm_{i}_{j}", (x + i, x + j), _COMMUTE)
              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for i in range(1, n):
         rows.append((f"txt_{i}", (i - 1, x + i, x + i + 1), (((None, (0, 1, 0)),), ((q, (2,)),))))
-        rows += [(f"tx_{i}_{j}", (i - 1, x + j), commute)
+        rows += [(f"tx_{i}_{j}", (i - 1, x + j), _COMMUTE)
                  for j in range(1, n + 1) if j not in (i, i + 1)]
     return tuple(rows)
 
@@ -250,10 +286,27 @@ def verify_hecke_relations(mod):
     """Exact verification of the defining relations on every basis vector:
     each row of _relation_table holds when every column of its two sides
     agrees.  The columns are checked one orbit of the row's operators at a
-    time, each through the verdict memo _relation_verdict."""
+    time, each through the verdict memo _relation_verdict.
+
+    When mod is its construction (is_construction), the commutation rows
+    distant_*, xcomm_* and tx_* hold whatever values _t_entries gives, so
+    they are reported true without a walk:
+    - every X_k is diagonal, and diagonal operators commute;
+    - T_i column m has entries only at m and at s_i m, and s_i leaves m_j
+      fixed for j not in {i, i+1}, so X_j scales both by the same b_j;
+    - for |i - j| >= 2, s_i and s_j touch disjoint positions, so T_i's
+      entries and the admissibility of s_i, which read only
+      m_i - m_{i+1}, are the same at m and at s_j m, s_i s_j m = s_j s_i m,
+      and T_i T_j and T_j T_i expand into the same four terms.
+    quadratic_*, braid_* and txt_* depend on the entry formula, and every
+    row of a module that is not its construction takes the walk."""
     ops, e, dim = mod.T + mod.X, mod.e, mod.dim()
+    built = is_construction(mod)
     report = {}
     for name, slots, shape in _relation_table(mod.n, e, mod.a):
+        if built and shape == _COMMUTE:
+            report[name] = True
+            continue
         row = [ops[k] for k in slots]
         report[name] = all(_relation_verdict(e, shape, tuple(_local(op, orbit, pos) for op in row))
                            for orbit, pos in _orbits(row, dim))
@@ -374,8 +427,14 @@ def verify_form_invariance(mod):
     invertible there, because no form value is 0, so the entries of column
     k in the rows of P give column k of M^dagger G M a nonzero entry in a
     row of P, and the check of the orbit of k fails.  So the orbit checks
-    all pass exactly when M^dagger G M = G."""
+    all pass exactly when M^dagger G M = G.
+
+    When mod is its construction (is_construction), every X_k is reported
+    an isometry without a walk: it is diagonal with roots of unity b on the
+    diagonal, and conj(b) g b = g for every diagonal form value g.  T_i
+    depends on the entry formula and always takes the walk."""
     G = [[(j, g)] for j, g in enumerate(form_values(mod))]  # as a diagonal column map
+    built = is_construction(mod)
 
     def invariant(op):
         return all(_invariance_verdict(mod.e, _local(G, orbit, pos), _local(op, orbit, pos))
@@ -385,7 +444,7 @@ def verify_form_invariance(mod):
     for i in range(1, mod.n):
         report[f"T_{i}"] = invariant(mod.T[i - 1])
     for k in range(1, mod.n + 1):
-        report[f"X_{k}"] = invariant(mod.X[k - 1])
+        report[f"X_{k}"] = built or invariant(mod.X[k - 1])
     return report
 
 

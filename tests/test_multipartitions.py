@@ -19,6 +19,7 @@ from calihecke.multipartitions import (
     is_multipartition,
     is_partition,
     is_s_admissible,
+    keys_by_residue,
     make_charge,
     mp_size,
     multipartitions_of,
@@ -27,6 +28,7 @@ from calihecke.multipartitions import (
     removable_boxes,
     residue,
     reverse_column_reading_tableau,
+    signature_dominates,
     standard_tableaux,
     step_changes,
     tableau_degree,
@@ -260,6 +262,24 @@ def test_dominance_greedy_equals_brute_force(d1, d2):
     if mp_size(mu) != mp_size(la):
         return
     assert dominates(mu, la, ch) == dominates_by_search(mu, la, ch)
+
+
+def test_dominance_fails_with_equal_residue_counts():
+    # each pair has the same number of boxes of every residue, so only the
+    # order of the box keys decides, and mu does not dominate la; la
+    # dominates mu except in the last, incomparable pair
+    pairs = [
+        (((2, 1),), ((3,),), Charge((0,), 3), True),
+        (((2, 2),), ((3, 1),), Charge((0,), 2), True),
+        (((1,), (1, 1)), ((2,), (1,)), Charge((0, 2), 4), True),
+        (((), (3,)), ((3,), ()), Charge((0, 1), 3), False),
+    ]
+    for mu, la, ch, reverse in pairs:
+        ku, kl = keys_by_residue(mu, ch), keys_by_residue(la, ch)
+        assert {i: len(k) for i, k in ku.items()} == {i: len(k) for i, k in kl.items()}
+        assert not signature_dominates(dominance_signature(mu, ch), dominance_signature(la, ch))
+        assert not dominates_by_search(mu, la, ch), (mu, la)
+        assert dominates(la, mu, ch) == dominates_by_search(la, mu, ch) == reverse, (mu, la)
 
 
 @given(partitions())

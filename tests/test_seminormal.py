@@ -20,6 +20,7 @@ from calihecke.seminormal import (
     form_signs,
     form_values,
     is_calibrated_weight,
+    is_construction,
     is_unitary_class,
     seminormal_module,
     verify_form_invariance,
@@ -246,6 +247,7 @@ def test_corrupted_operator_fails_relations():
                 mutant = seminormal_module(cls, 6)
                 idx, c = mutant.T[i - 1][j][p]
                 mutant.T[i - 1][j][p] = (idx, c + 1)
+                assert not is_construction(mutant)
                 report = verify_hecke_relations(mutant)
                 assert report == column_hecke_relations(mutant)
                 assert not report[f"quadratic_{i}"], (i, j, p)
@@ -257,6 +259,7 @@ def test_corrupted_operator_fails_relations():
             for idx in set(range(mod.dim())) - {j}:
                 mutant = seminormal_module(cls, 6)
                 mutant.X[k - 1][j].append((idx, Cyc.one(6)))
+                assert not is_construction(mutant)
                 report = verify_hecke_relations(mutant)
                 assert report == column_hecke_relations(mutant)
                 assert not all(ok for name, ok in report.items()
@@ -264,6 +267,30 @@ def test_corrupted_operator_fails_relations():
                     (k, j, idx)
                 mutants += 1
     assert mutants == 30 + 4 * 6 * 5
+
+
+def test_formula_rows_are_checked_on_a_module_equal_to_its_construction(monkeypatch):
+    # a wrong T_i diagonal at one difference d, built into the module, so
+    # that the module is its construction: the commutation rows and X_k
+    # invariance hold for any entries, but quadratic, braid and txt must
+    # still be checked on the module
+    cls = weight_class((0, 1, 3, 4), 6)
+    real = _t_entries
+    for d in (2, 3, 4, 5):
+        def wrong(e, a, dd, d=d):
+            diag, off = real(e, a, dd)
+            return (diag + 1, off) if dd == d else (diag, off)
+
+        monkeypatch.setattr(seminormal, "_t_entries", wrong)
+        mod = seminormal_module(cls, 6)
+        assert is_construction(mod)
+        report = verify_hecke_relations(mod)
+        assert list(report.items()) == list(column_hecke_relations(mod).items()), d
+        failed = {name.split("_")[0] for name, ok in report.items() if not ok}
+        assert failed == {"quadratic", "braid", "txt"}, d
+        invariance = verify_form_invariance(mod)
+        assert invariance == dense_form_invariance(mod), d
+        assert all(invariance[f"X_{k}"] for k in range(1, mod.n + 1)), d
 
 
 def test_relation_table_matches_column_oracle():
@@ -375,6 +402,7 @@ def test_corrupted_operator_fails_invariance():
             # column k gets row 0, whose orbit the walk visits first and
             # which does not reach k
             ops[0][k].append((0, Cyc.one(4)))
+        assert not is_construction(mod)
         sparse, dense = verify_form_invariance(mod), dense_form_invariance(mod)
         assert sparse == dense
         assert not sparse[op]
@@ -387,6 +415,7 @@ def test_corrupted_operator_fails_invariance():
         assert c * c == mod.q
         mod.T[0] = [[(i, x + c if i == j else x) for i, x in col]
                     for j, col in enumerate(mod.T[0])]
+        assert not is_construction(mod)
         sparse = verify_form_invariance(mod)
         assert sparse == dense_form_invariance(mod)
         assert [name for name, ok in sparse.items() if not ok] == ["T_1"], (e, a)
@@ -443,6 +472,7 @@ def test_warm_memo_matches_the_oracles_on_corrupted_modules(modules):
     # warm the memo with every clean local configuration of the class
     assert all(verify_hecke_relations(clean).values())
     assert all(verify_form_invariance(clean).values())
+    assert is_construction(clean) and not is_construction(mutant)
     report = verify_hecke_relations(mutant)
     assert list(report.items()) == list(column_hecke_relations(mutant).items())
     assert verify_form_invariance(mutant) == dense_form_invariance(mutant)
