@@ -16,8 +16,8 @@ and the entries and the ratio are cached by (e, a, d).
 T_i moves a basis vector only within the span of w_m and w_{s_i m}, and X_k
 is diagonal, so every relation and every invariance condition, read on one
 column, involves only the orbit of that column under the operators it
-names: at most 6 weights.  Both checks walk the columns one orbit at a
-time and memoise the verdict on the orbit's local submatrices, relabelled
+names: at most 6 weights.  A walk goes over the columns one orbit at a
+time and memoises the verdict on the orbit's local submatrices, relabelled
 0..k-1 and written as exact integers, so equal local configurations are
 checked once.  The relations come from one table per (n, e, a).  Form
 invariance is checked as an isometry, M^dagger G M = G for every T_i and
@@ -26,7 +26,13 @@ X_k, so no inverse operator is built.
 Both checks first ask whether the module is exactly its construction
 (is_construction).  If it is, the rows that hold for any entry values
 (the commutation relations, and the invariance of X_k) are read off that
-answer; the rows that depend on the entry formula are always walked.
+answer, and no relation walks the module: quadratic_i and txt_i read
+only the window (m_i, m_{i+1}) of each weight, braid_i only (m_i, m_{i+1},
+m_{i+2}), so each row is checked once per window that occurs, shifted to
+end in 0, on the construction over the window's closure, and the verdict
+is memoised per (e, a, row kind, window) across modules.  T_i invariance
+is always walked, and so is every row of a module that is not its
+construction.
 """
 
 from functools import lru_cache
@@ -67,16 +73,21 @@ def weight_class(m, e):
     """Closure of m under admissible transpositions, sorted."""
     if not is_calibrated_weight(m, e):
         raise ValueError("weight is not calibrated")
-    start = _norm(m, e)
+    return _closure(_norm(m, e), e)
+
+
+def _closure(start, e):
+    """The weights that start (a tuple) reaches by transpositions s_i that
+    are admissible and swap two different entries, sorted: the rule of
+    _class_edges.  On a calibrated weight no two neighbours are equal, so
+    this is its weight class."""
     seen = {start}
     frontier = [start]
     while frontier:
         cur = frontier.pop()
         for i in range(1, len(cur)):
-            if admissible_transposition(cur, i, e):
-                nxt = list(cur)
-                nxt[i - 1], nxt[i] = nxt[i], nxt[i - 1]
-                nxt = tuple(nxt)
+            if cur[i - 1] != cur[i] and admissible_transposition(cur, i, e):
+                nxt = cur[:i - 1] + (cur[i], cur[i - 1]) + cur[i + 1:]
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -94,6 +105,8 @@ class SeminormalModule:
         if not cls:
             raise ValueError("empty weight class")
         self.cls = list(cls)
+        if len(set(self.cls)) != len(self.cls):
+            raise ValueError("a weight repeats in the weight class")
         self.e = e
         self.a = a
         self.n = len(cls[0])
@@ -285,12 +298,11 @@ def _relation_verdict(e, shape, local):
 def verify_hecke_relations(mod):
     """Exact verification of the defining relations on every basis vector:
     each row of _relation_table holds when every column of its two sides
-    agrees.  The columns are checked one orbit of the row's operators at a
-    time, each through the verdict memo _relation_verdict.
+    agrees.
 
-    When mod is its construction (is_construction), the commutation rows
-    distant_*, xcomm_* and tx_* hold whatever values _t_entries gives, so
-    they are reported true without a walk:
+    When mod is its construction (is_construction), no row walks the
+    module.  The commutation rows distant_*, xcomm_* and tx_* hold whatever
+    values _t_entries gives, so they are reported true:
     - every X_k is diagonal, and diagonal operators commute;
     - T_i column m has entries only at m and at s_i m, and s_i leaves m_j
       fixed for j not in {i, i+1}, so X_j scales both by the same b_j;
@@ -298,19 +310,73 @@ def verify_hecke_relations(mod):
       entries and the admissibility of s_i, which read only
       m_i - m_{i+1}, are the same at m and at s_j m, s_i s_j m = s_j s_i m,
       and T_i T_j and T_j T_i expand into the same four terms.
-    quadratic_*, braid_* and txt_* depend on the entry formula, and every
-    row of a module that is not its construction takes the walk."""
-    ops, e, dim = mod.T + mod.X, mod.e, mod.dim()
+    quadratic_i and txt_i read the window (m_i, m_{i+1}) of each weight,
+    and braid_i the window (m_i, m_{i+1}, m_{i+2}); each window is checked
+    once per (e, a) by _window_verdict, memoised across modules.  This
+    reads the module exactly:
+    - the orbit of column m under the row's operators is the set of
+      weights that admissible s_i (and s_{i+1}) reach from m, each once (a
+      class that lacks one of them, or repeats a weight, builds no
+      module); they change only the window, and their admissibility reads
+      only the window, so the orbit is the closure of m's window
+      (_closure) with the other entries held fixed, and any weight of the
+      orbit gives the same closure;
+    - T_i's entries and its admissibility read only m_i - m_{i+1}, so
+      shifting every entry of a window by one constant changes no T;
+    - X_i and X_{i+1} are diagonal, and a shift by c multiplies both by
+      zeta^(-a*c) on every weight of the orbit; txt_i is linear in the X's
+      on each side, so dividing them by b_{i+1} keeps its verdict.
+    So a row holds iff it holds on the construction over the closure of
+    every window that occurs, shifted so that its last entry is 0.
+
+    Every row of a module that is not its construction walks the module,
+    one orbit of the row's operators at a time (_row_holds)."""
+    ops, e, a, dim = mod.T + mod.X, mod.e, mod.a, mod.dim()
     built = is_construction(mod)
+    if built:
+        # per i, the difference d = (m_i - m_{i+1}) mod e at every weight
+        ds = [[d for _, d in col] for col in zip(*_class_edges(tuple(mod.cls), e))]
+        pairs = [{(d, 0) for d in col} for col in ds]
     report = {}
-    for name, slots, shape in _relation_table(mod.n, e, mod.a):
-        if built and shape == _COMMUTE:
+    for name, slots, shape in _relation_table(mod.n, e, a):
+        if not built:
+            report[name] = _row_holds([ops[k] for k in slots], shape, e, dim)
+        elif shape == _COMMUTE:
             report[name] = True
-            continue
-        row = [ops[k] for k in slots]
-        report[name] = all(_relation_verdict(e, shape, tuple(_local(op, orbit, pos) for op in row))
-                           for orbit, pos in _orbits(row, dim))
+        else:
+            kind, i = name.split("_")[0], slots[0]
+            windows = pairs[i] if kind != "braid" else {
+                ((x + y) % e, y, 0) for x, y in set(zip(ds[i], ds[i + 1]))}
+            report[name] = all(_window_verdict(e, a, kind, w) for w in windows)
     return report
+
+
+def _row_holds(row, shape, e, dim):
+    """Does the relation of this shape hold on the operators row (column
+    maps on dim columns)?  One orbit of row at a time, each through the
+    verdict memo _relation_verdict."""
+    return all(_relation_verdict(e, shape, tuple(_local(op, orbit, pos) for op in row))
+               for orbit, pos in _orbits(row, dim))
+
+
+@lru_cache(maxsize=None)
+def _window_verdict(e, a, kind, window):
+    """Does the row kind_1 (quadratic, txt or braid) hold on the
+    construction over the closure of window, a tuple of 2 or 3 residues
+    ending in 0?  The closure is one orbit of the row's operators, and
+    every window of the orbit, shifted to end in 0, gives the same verdict
+    (see verify_hecke_relations), so each window defers to the least of
+    them.  The key holds no entry value: a change of _t_entries needs
+    cache_clear."""
+    cls = _closure(window, e)
+    least = min(tuple((x - w[-1]) % e for x in w) for w in cls)
+    if window != least:
+        return _window_verdict(e, a, kind, least)
+    n = len(window)
+    edges = _edges(tuple(cls), e)
+    ops = [_t_op(edges, e, a, i) for i in range(n - 1)] + [_x_op(cls, e, a, k) for k in range(n)]
+    _, slots, shape = next(row for row in _relation_table(n, e, a) if row[0] == f"{kind}_1")
+    return _row_holds([ops[k] for k in slots], shape, e, len(cls))
 
 
 @lru_cache(maxsize=1)
@@ -320,6 +386,12 @@ def _class_edges(cls, e):
     s_i is admissible (and m_i != m_{i+1}), else None, and d = (m_i -
     m_{i+1}) mod e.  One entry: a module, its form values and signs, and
     the sweeps over a ask for one class one after another."""
+    return _edges(cls, e)
+
+
+def _edges(cls, e):
+    """_class_edges without the cache, for the local classes of
+    _window_verdict, which would evict a module's class."""
     index = {b: j for j, b in enumerate(cls)}
     edges = []
     for wt in cls:

@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -13,6 +15,7 @@ from calihecke.seminormal import (
     _invariance_verdict,
     _relation_verdict,
     _t_entries,
+    _window_verdict,
     admissible_transposition,
     class_form_signs,
     cyclotomic_membership,
@@ -68,6 +71,11 @@ def test_calibrated_weight_examples():
 def test_weight_class_rejects_uncalibrated():
     with pytest.raises(ValueError):
         weight_class((0, 0), 3)
+
+
+def test_module_rejects_a_repeated_weight():
+    with pytest.raises(ValueError):
+        seminormal_module([(0, 2), (2, 0), (0, 2)], 4)
 
 
 def test_weight_class_generic_staircase_is_singleton():
@@ -269,19 +277,34 @@ def test_corrupted_operator_fails_relations():
     assert mutants == 30 + 4 * 6 * 5
 
 
-def test_formula_rows_are_checked_on_a_module_equal_to_its_construction(monkeypatch):
+def _moved_diagonal(real, moved=2):
+    """T_i's diagonal plus 1 at d = moved: quadratic, txt and braid fail on
+    the windows whose closure holds that difference, and only there."""
+    def entries(e, a, d):
+        diag, off = real(e, a, d)
+        return (diag + 1, off) if d == moved else (diag, off)
+    return entries
+
+
+@pytest.fixture
+def window_memo():
+    """The window memo keys no entry value, so a test that swaps
+    _t_entries starts and ends with it empty, and clears it after each
+    swap."""
+    _window_verdict.cache_clear()
+    yield _window_verdict.cache_clear
+    _window_verdict.cache_clear()
+
+
+def test_formula_rows_are_checked_on_a_module_equal_to_its_construction(monkeypatch, window_memo):
     # a wrong T_i diagonal at one difference d, built into the module, so
     # that the module is its construction: the commutation rows and X_k
     # invariance hold for any entries, but quadratic, braid and txt must
     # still be checked on the module
     cls = weight_class((0, 1, 3, 4), 6)
-    real = _t_entries
     for d in (2, 3, 4, 5):
-        def wrong(e, a, dd, d=d):
-            diag, off = real(e, a, dd)
-            return (diag + 1, off) if dd == d else (diag, off)
-
-        monkeypatch.setattr(seminormal, "_t_entries", wrong)
+        monkeypatch.setattr(seminormal, "_t_entries", _moved_diagonal(_t_entries, d))
+        window_memo()
         mod = seminormal_module(cls, 6)
         assert is_construction(mod)
         report = verify_hecke_relations(mod)
@@ -293,15 +316,89 @@ def test_formula_rows_are_checked_on_a_module_equal_to_its_construction(monkeypa
         assert all(invariance[f"X_{k}"] for k in range(1, mod.n + 1)), d
 
 
-def test_relation_table_matches_column_oracle():
+def _walked_relations(mod, monkeypatch):
+    """verify_hecke_relations as a module that is not its construction
+    takes it: every row walks the module's orbits."""
+    with monkeypatch.context() as patch:
+        patch.setattr(seminormal, "is_construction", lambda _: False)
+        return verify_hecke_relations(mod)
+
+
+def _assert_routes_agree(mod, monkeypatch):
+    """The window route, the orbit walk and the column oracle give the
+    same report, in the same order."""
+    assert is_construction(mod)
+    report = list(verify_hecke_relations(mod).items())
+    assert report == list(_walked_relations(mod, monkeypatch).items()), (mod.cls[0], mod.e, mod.a)
+    assert report == list(column_hecke_relations(mod).items()), (mod.cls[0], mod.e, mod.a)
+    return dict(report)
+
+
+def test_relation_table_matches_column_oracle(monkeypatch):
     # the gate's criterion-6 sweep: every calibrated class at every coprime
-    # a; the verdict memo warms up along the sweep
+    # a, read off windows, walked and checked column by column; both memos
+    # warm up along the sweep
     checked = 0
     for mod in seminormal_modules(*GATE_ARGS):
-        report = verify_hecke_relations(mod)
-        assert list(report.items()) == list(column_hecke_relations(mod).items())
+        _assert_routes_agree(mod, monkeypatch)
         checked += 1
     assert checked == GATE_FLOORS["hecke_relations"]
+
+
+def _classes_beyond_the_gate():
+    """(cls, e, a): up to three classes of dimension <= 40 per (e, n) that
+    the gate does not reach, n 6..8 at e 2..6 and n 3..8 at e 7..9, from
+    seeded random calibrated weights.  At e = 2, m_i = m_{i+2} occurs."""
+    rng = random.Random(8)
+    for e in range(2, 10):
+        coprime = [a for a in range(1, e) if gcd(a, e) == 1]
+        for n in range(3 if e > 6 else 6, 9):
+            seen, found = set(), 0
+            for _ in range(2000):
+                m = tuple(rng.randrange(e) for _ in range(n))
+                if m in seen or not is_calibrated_weight(m, e):
+                    continue
+                cls = weight_class(m, e)
+                seen.update(cls)
+                if len(cls) <= 40:
+                    yield cls, e, rng.choice(coprime)
+                    found += 1
+                    if found == 3:
+                        break
+
+
+def test_window_route_matches_the_walk_beyond_the_gate(monkeypatch):
+    checked, repeats = 0, 0
+    for cls, e, a in _classes_beyond_the_gate():
+        report = _assert_routes_agree(seminormal_module(cls, e, a), monkeypatch)
+        assert all(report.values()), (cls[0], e, a)
+        repeats += e == 2 and any(m[i] == m[i + 2] for m in cls for i in range(len(m) - 2))
+        checked += 1
+    assert checked > 80 and repeats > 0
+
+
+def _swapped_diagonals(real):
+    """T_i's diagonal of -d at d: the quadratic relation holds (trace and
+    determinant are kept), txt_i does not."""
+    return lambda e, a, d: (real(e, a, -d % e)[0], real(e, a, d)[1])
+
+
+
+
+@pytest.mark.parametrize("wrong", [_swapped_diagonals, _moved_diagonal])
+def test_window_route_matches_the_walk_on_wrong_entries(monkeypatch, window_memo, wrong):
+    # an entry formula that breaks some rows but not others, built into
+    # every module: the three routes must agree row by row, and the memo
+    # must keep the verdicts of quadratic, txt and braid apart
+    monkeypatch.setattr(seminormal, "_t_entries", wrong(_t_entries))
+    verdicts = set()
+    for mod in seminormal_modules(range(2, 7), range(2, 5)):
+        report = _assert_routes_agree(mod, monkeypatch)
+        verdicts.update((name.split("_")[0], ok) for name, ok in report.items())
+    held = {kind for kind, ok in verdicts if ok}
+    failed = {kind for kind, ok in verdicts if not ok}
+    assert failed == ({"txt"} if wrong is _swapped_diagonals else {"quadratic", "txt", "braid"})
+    assert {"quadratic", "txt", "braid"} <= held
 
 
 def test_relation_order_matches_column_oracle_up_to_n8():
@@ -315,20 +412,42 @@ def test_relation_order_matches_column_oracle_up_to_n8():
         assert all(report.values()), n
 
 
+def _rescaled(cls, e):
+    """The module of cls with its last basis vector doubled: every T_i
+    conjugated by one diagonal matrix, so that every relation still holds
+    but the module is not its construction and walks its orbits."""
+    mod = seminormal_module(cls, e)
+    last, two, half = mod.dim() - 1, Cyc.from_rational(e, 2), Cyc.from_rational(e, Fraction(1, 2))
+    for op in mod.T:
+        for j, col in enumerate(op):
+            op[j] = [(i, c * two if i == last != j else c * half if j == last != i else c)
+                     for i, c in col]
+    assert not is_construction(mod)
+    return mod
+
+
 def test_verdicts_are_memoised_per_local_configuration(monkeypatch):
     cls = weight_class((0, 1, 3, 4), 6)
     _relation_verdict.cache_clear()
     _invariance_verdict.cache_clear()
-    verify_hecke_relations(seminormal_module(cls, 6))
+    _window_verdict.cache_clear()
+    assert all(verify_hecke_relations(_rescaled(cls, 6)).values())
     verify_form_invariance(seminormal_module(cls, 6))
     relations, invariance = _relation_verdict.cache_info(), _invariance_verdict.cache_info()
     # local configurations repeat even within one module
     assert relations.hits > 0 and invariance.hits > 0
     # a second module of the same class builds the same local keys
-    assert all(verify_hecke_relations(seminormal_module(cls, 6)).values())
+    assert all(verify_hecke_relations(_rescaled(cls, 6)).values())
     assert all(verify_form_invariance(seminormal_module(cls, 6)).values())
     assert _relation_verdict.cache_info().misses == relations.misses
     assert _invariance_verdict.cache_info().misses == invariance.misses
+    # a module that is its construction reads its windows, and a second
+    # one of the same class adds no window to the memo
+    assert all(verify_hecke_relations(seminormal_module(cls, 6)).values())
+    windows = _window_verdict.cache_info()
+    assert windows.misses > 0
+    assert all(verify_hecke_relations(seminormal_module(cls, 6)).values())
+    assert _window_verdict.cache_info().misses == windows.misses
     # the form values belong to the local configuration: M^dagger G M = G
     # holds for every multiple of G, but not after one value of G is doubled
     mod = seminormal_module(cls, 6)
