@@ -74,7 +74,11 @@ def _power_table(e):
 
 @lru_cache(maxsize=None)
 def _galois_rows(e, j):
-    """Images of the basis vectors zeta^k under zeta -> zeta^j."""
+    """Images of the basis vectors zeta^k under zeta -> zeta^j, for j prime
+    to e; any other j maps zeta to a root of unity that is not primitive,
+    which is no field map."""
+    if gcd(j, e) != 1:
+        raise ValueError("need gcd(j, e) = 1")
     table = _power_table(e)
     return tuple(table[(j * k) % e] for k in range(len(table[0])))
 
@@ -239,12 +243,17 @@ class Cyc:
     def __rtruediv__(self, other):
         return self.inv() * other
 
-    def conj(self):
-        """Complex conjugation: zeta^k -> zeta^(e-k).  The map is an
-        integer matrix that is its own inverse, so the content, and with it
-        the canonical form, is kept."""
-        rows = _galois_rows(self.e, -1)
+    def galois(self, j):
+        """The Galois map sigma_j: zeta -> zeta^j, a field automorphism for
+        j prime to e (ValueError otherwise).  On the power basis it is an
+        integer matrix whose inverse, sigma_(j^-1), is one too, so the
+        content, and with it the canonical form, is kept."""
+        rows = _galois_rows(self.e, j % self.e)
         return _new(self.e, tuple(_apply_rows(self.num, rows)), self.den)
+
+    def conj(self):
+        """Complex conjugation: zeta^k -> zeta^(e-k), which is galois(-1)."""
+        return self.galois(-1)
 
     # -- predicates ---------------------------------------------------------
 

@@ -26,16 +26,24 @@ X_k, so no inverse operator is built.
 Both checks first ask whether the module is exactly its construction
 (is_construction).  If it is, the rows that hold for any entry values
 (the commutation relations, and the invariance of X_k) are read off that
-answer, and no relation walks the module: quadratic_i and txt_i read
-only the window (m_i, m_{i+1}) of each weight, braid_i only (m_i, m_{i+1},
-m_{i+2}), so each row is checked once per window that occurs, shifted to
-end in 0, on the construction over the window's closure, and the verdict
-is memoised per (e, a, row kind, window) across modules.  T_i invariance
-is always walked, and so is every row of a module that is not its
-construction.
+answer, and nothing walks the module: quadratic_i and txt_i read only
+the window (m_i, m_{i+1}) of each weight, braid_i only (m_i, m_{i+1},
+m_{i+2}), and T_i invariance, once the module's form values pass one
+multiply per edge, only (m_i, m_{i+1}).  Each row is checked once per
+window that occurs, shifted to end in 0, on the construction over the
+window's closure, and the verdict is memoised per (e, a, kind, window)
+across modules.  A window at q = zeta^a takes the verdict at q = zeta:
+every entry of the construction is an element of Q(zeta_e) in which
+sigma_a: zeta -> zeta^a (a prime to e) is a field automorphism that
+commutes with complex conjugation, so an equality of such matrices holds
+at a iff it holds at 1.  That the construction at a is the sigma_a-image
+of the one at 1 is checked once per (e, a) (_is_galois_image), not
+assumed.  Every row, and T_i invariance, of a module that is not its
+construction walks the module.
 """
 
 from functools import lru_cache
+from math import gcd
 
 from .cyclotomics import Cyc, _new, re_compare
 
@@ -102,6 +110,8 @@ class SeminormalModule:
     """
 
     def __init__(self, cls, e, a=1):
+        if gcd(a, e) != 1:
+            raise ValueError("need gcd(a, e) = 1")
         if not cls:
             raise ValueError("empty weight class")
         self.cls = list(cls)
@@ -312,8 +322,10 @@ def verify_hecke_relations(mod):
       and T_i T_j and T_j T_i expand into the same four terms.
     quadratic_i and txt_i read the window (m_i, m_{i+1}) of each weight,
     and braid_i the window (m_i, m_{i+1}, m_{i+2}); each window is checked
-    once per (e, a) by _window_verdict, memoised across modules.  This
-    reads the module exactly:
+    by _window_verdict, memoised across modules and shared across the
+    coprime a whose construction is the sigma_a-image of the one at a = 1
+    (the relation table's scalars q and q - 1 are then the images of zeta
+    and zeta - 1 too).  This reads the module exactly:
     - the orbit of column m under the row's operators is the set of
       weights that admissible s_i (and s_{i+1}) reach from m, each once (a
       class that lacks one of them, or repeats a weight, builds no
@@ -359,24 +371,69 @@ def _row_holds(row, shape, e, dim):
                for orbit, pos in _orbits(row, dim))
 
 
-@lru_cache(maxsize=None)
 def _window_verdict(e, a, kind, window):
-    """Does the row kind_1 (quadratic, txt or braid) hold on the
-    construction over the closure of window, a tuple of 2 or 3 residues
-    ending in 0?  The closure is one orbit of the row's operators, and
-    every window of the orbit, shifted to end in 0, gives the same verdict
-    (see verify_hecke_relations), so each window defers to the least of
-    them.  The key holds no entry value: a change of _t_entries needs
-    cache_clear."""
+    """Does the row kind_1 (quadratic, txt or braid), or the T_1
+    invariance (kind "invariance"), hold on the construction at (e, a)
+    over the closure of window, a tuple of 2 or 3 residues ending in 0?
+    When the construction at (e, a) is the sigma_a-image of the one at
+    (e, 1) (_is_galois_image), this is the verdict at (e, 1): sigma_a is a
+    field automorphism that commutes with complex conjugation, so it maps
+    each side of a relation, and M^dagger G M, at a = 1 onto the one at a,
+    and an equality holds at a iff it holds at 1."""
+    if a != 1 and _is_galois_image(e, a):
+        a = 1
+    return _window_check(e, a, kind, window)
+
+
+@lru_cache(maxsize=None)
+def _window_check(e, a, kind, window):
+    """_window_verdict at (e, a) itself.  The closure is one orbit of the
+    row's operators, and every window of the orbit, shifted to end in 0,
+    gives the same verdict (see verify_hecke_relations), so each window
+    defers to the least of them.  The invariance window is checked with
+    the construction's form values, 1 at the first weight.  The key holds
+    no entry value: a change of _t_entries needs cache_clear."""
     cls = _closure(window, e)
     least = min(tuple((x - w[-1]) % e for x in w) for w in cls)
     if window != least:
-        return _window_verdict(e, a, kind, least)
+        return _window_check(e, a, kind, least)
     n = len(window)
     edges = _edges(tuple(cls), e)
-    ops = [_t_op(edges, e, a, i) for i in range(n - 1)] + [_x_op(cls, e, a, k) for k in range(n)]
+    T = [_t_op(edges, e, a, i) for i in range(n - 1)]
+    if kind == "invariance":
+        values = _propagate(edges, Cyc.one(e), lambda d: _form_ratio(e, a, d),
+                            "inconsistent form values around a cycle")
+        return _isometry(T[0], [[(j, g)] for j, g in enumerate(values)], e)
+    ops = T + [_x_op(cls, e, a, k) for k in range(n)]
     _, slots, shape = next(row for row in _relation_table(n, e, a) if row[0] == f"{kind}_1")
     return _row_holds([ops[k] for k in slots], shape, e, len(cls))
+
+
+@lru_cache(maxsize=None)
+def _is_galois_image(e, a):
+    """Is the construction at (e, a) the sigma_a-image of the one at
+    (e, 1)?  It is when a is prime to e and every value it is built from
+    is: _zeta_powers, and _t_entries and _form_ratio at every d, defined
+    at both or at neither.  True for the formulas as they stand; checked
+    once per (e, a), so a formula that is wrong at some a alone is caught.
+    The key holds no entry value: a change of _t_entries needs
+    cache_clear."""
+    if gcd(a, e) != 1:
+        return False
+
+    def at(f, b, d):
+        """f(e, b, d) as a tuple, or None where it divides by zero."""
+        try:
+            out = f(e, b, d)
+        except ZeroDivisionError:
+            return None
+        return out if isinstance(out, tuple) else (out,)
+
+    def image(values):
+        return None if values is None else tuple(x.galois(a) for x in values)
+
+    return _zeta_powers(e, a) == image(_zeta_powers(e, 1)) and all(
+        at(f, a, d) == image(at(f, 1, d)) for f in (_t_entries, _form_ratio) for d in range(e))
 
 
 @lru_cache(maxsize=1)
@@ -405,13 +462,13 @@ def _edges(cls, e):
     return tuple(edges)
 
 
-def _propagate(cls, e, start, step, inconsistent):
-    """Values on the weight class cls (a tuple), start at cls[0], carried
-    along the edges of _class_edges: the value at s_i m is the value at m
-    times step(d).  Raises ValueError(inconsistent) when two paths disagree."""
-    edges = _class_edges(cls, e)
+def _propagate(edges, start, step, inconsistent):
+    """Values on a weight class with the edge list edges (see
+    _class_edges), start at its first weight, carried along the edges: the
+    value at s_i m is the value at m times step(d).  Raises
+    ValueError(inconsistent) when two paths disagree."""
     vals = {0: start}
-    frontier = [0] if cls else []
+    frontier = [0] if edges else []
     while frontier:
         j = frontier.pop()
         for k, d in edges[j]:
@@ -424,9 +481,9 @@ def _propagate(cls, e, start, step, inconsistent):
             else:
                 vals[k] = target
                 frontier.append(k)
-    if len(vals) != len(cls):
+    if len(vals) != len(edges):
         raise ValueError("weight class is not connected by admissible transpositions")
-    return [vals[j] for j in range(len(cls))]
+    return [vals[j] for j in range(len(edges))]
 
 
 def class_form_signs(cls, e, a=1):
@@ -437,7 +494,12 @@ def class_form_signs(cls, e, a=1):
     re_compare on exponents.  No matrices are needed.
 
     The sign of an edge depends only on d = (m_i - m_{i+1}) mod e, so
-    re_compare runs once per difference d that the walk meets."""
+    re_compare runs once per difference d that the walk meets.  a must be
+    prime to e, so that q = zeta^a is primitive; then no edge is a wall:
+    Re(zeta^(a*d)) = Re(q) means a*d = +-a, so d = +-1 (mod e), and s_i is
+    not admissible there."""
+    if gcd(a, e) != 1:
+        raise ValueError("need gcd(a, e) = 1")
     cls = tuple(sorted(cls))
     signs = {}  # d -> the sign along an edge of difference d
 
@@ -445,13 +507,11 @@ def class_form_signs(cls, e, a=1):
         sign = signs.get(d)
         if sign is None:
             # Re(q) against Re(b_i / b_{i+1}) at the source weight
-            cmp = re_compare(a, a * d, e)
-            if cmp == 0:
-                raise ValueError("wall weight: Re(ratio) = Re(q) inside a class")
-            sign = signs[d] = 1 if cmp > 0 else -1
+            sign = signs[d] = 1 if re_compare(a, a * d, e) > 0 else -1
         return sign
 
-    vals = _propagate(cls, e, 1, step, "inconsistent sign propagation around a cycle")
+    vals = _propagate(_class_edges(cls, e), 1, step,
+                      "inconsistent sign propagation around a cycle")
     return dict(zip(cls, vals))
 
 
@@ -464,9 +524,16 @@ def form_values(mod):
     base weight normalized to A = 1, propagated by the ratio
     A_{s_i b} / A_b = (b_i - q b_{i+1}) / (q b_i - b_{i+1}), which is what
     form invariance under T_i forces."""
-    e, a = mod.e, mod.a
-    return _propagate(tuple(mod.cls), e, Cyc.one(e), lambda d: _form_ratio(e, a, d),
-                      "inconsistent form values around a cycle")
+    return list(_class_form(tuple(mod.cls), mod.e, mod.a))
+
+
+@lru_cache(maxsize=1)
+def _class_form(cls, e, a):
+    """form_values on the class cls (a tuple) at (e, a), as a tuple.  One
+    entry: verify_form_invariance compares a module's form values with it
+    right after they are built."""
+    return tuple(_propagate(_class_edges(cls, e), Cyc.one(e), lambda d: _form_ratio(e, a, d),
+                            "inconsistent form values around a cycle"))
 
 
 @lru_cache(maxsize=None)
@@ -488,36 +555,57 @@ def verify_form_invariance(mod):
     because no form value is 0, so this is < M u, v > = < u, M^{-1} v >
     without forming M^{-1}.
 
-    The columns are checked one orbit of M at a time, each through the
-    verdict memo _invariance_verdict.  Every entry of a column lies in that
-    column's orbit, and an orbit is closed under M, so M^dagger G M is
-    computed exactly on each orbit.  An entry of M^dagger G M whose row k
-    and column j share no orbit needs a row i that columns j and k both
-    hold, with k not reached from i: an entry M_ik whose mirror M_ki is 0,
-    which only a corruption adds.  The orbit of k then holds the closed
-    orbit P of i but not k.  If M^dagger G M = G holds on P, M is
-    invertible there, because no form value is 0, so the entries of column
-    k in the rows of P give column k of M^dagger G M a nonzero entry in a
-    row of P, and the check of the orbit of k fails.  So the orbit checks
-    all pass exactly when M^dagger G M = G.
+    The columns are checked one orbit of M at a time (_isometry), each
+    through the verdict memo _invariance_verdict.  Every entry of a column
+    lies in that column's orbit, and an orbit is closed under M, so
+    M^dagger G M is computed exactly on each orbit.  An entry of
+    M^dagger G M whose row k and column j share no orbit needs a row i
+    that columns j and k both hold, with k not reached from i: an entry
+    M_ik whose mirror M_ki is 0, which only a corruption adds.  The orbit
+    of k then holds the closed orbit P of i but not k.  If M^dagger G M = G
+    holds on P, M is invertible there, because no form value is 0, so the
+    entries of column k in the rows of P give column k of M^dagger G M a
+    nonzero entry in a row of P, and the check of the orbit of k fails.
+    So the orbit checks all pass exactly when M^dagger G M = G.
 
     When mod is its construction (is_construction), every X_k is reported
     an isometry without a walk: it is diagonal with roots of unity b on the
-    diagonal, and conj(b) g b = g for every diagonal form value g.  T_i
-    depends on the entry formula and always takes the walk."""
-    G = [[(j, g)] for j, g in enumerate(form_values(mod))]  # as a diagonal column map
+    diagonal, and conj(b) g b = g for every diagonal form value g.  If G,
+    moreover, is the construction's form (_class_form, compared value by
+    value with no arithmetic), T_i is read off windows too.  That form has
+    no zero and g_k = g_j * _form_ratio(e, a, d) along every edge j -> k =
+    s_i j.  An orbit of T_i is {j, k} or {j}, T_i on it reads only d =
+    (m_i - m_{i+1}) mod e at j, and G on it is g_j times the form
+    (1, ratio) of the construction over the closure of the window (d, 0).
+    M^dagger (c G) M = c G iff M^dagger G M = G for c != 0, so T_i is an
+    isometry iff it is one on each such window: the AND of
+    _window_verdict(e, a, "invariance", (d, 0)) over the d that occur,
+    memoised and shared across coprime a as the relation windows are.
+    Any other module walks T_i, so a changed form value fails on G."""
+    e, a = mod.e, mod.a
+    values = form_values(mod)
+    G = [[(j, g)] for j, g in enumerate(values)]  # as a diagonal column map
     built = is_construction(mod)
-
-    def invariant(op):
-        return all(_invariance_verdict(mod.e, _local(G, orbit, pos), _local(op, orbit, pos))
-                   for orbit, pos in _orbits((op,), mod.dim()))
-
+    cls = tuple(mod.cls)
+    by_window = built and tuple(values) == _class_form(cls, e, a)
+    edges = _class_edges(cls, e)
     report = {}
     for i in range(1, mod.n):
-        report[f"T_{i}"] = invariant(mod.T[i - 1])
+        if by_window:
+            report[f"T_{i}"] = all(_window_verdict(e, a, "invariance", (d, 0))
+                                   for d in {out[i - 1][1] for out in edges})
+        else:
+            report[f"T_{i}"] = _isometry(mod.T[i - 1], G, e)
     for k in range(1, mod.n + 1):
-        report[f"X_{k}"] = built or invariant(mod.X[k - 1])
+        report[f"X_{k}"] = built or _isometry(mod.X[k - 1], G, e)
     return report
+
+
+def _isometry(op, G, e):
+    """Is the column map op an isometry of the diagonal form G (a column
+    map)?  One orbit of op at a time, each through _invariance_verdict."""
+    return all(_invariance_verdict(e, _local(G, orbit, pos), _local(op, orbit, pos))
+               for orbit, pos in _orbits((op,), len(op)))
 
 
 @lru_cache(maxsize=None)

@@ -154,6 +154,13 @@ class FracCyc:
             out[(-k) % self.e] += c
         return FracCyc(self.e, out)
 
+    def galois(self, j):
+        """zeta^k -> zeta^(j*k) on the length-e vector, then reduced."""
+        out = [Fraction(0)] * self.e
+        for k, c in enumerate(self.coeffs):
+            out[(j * k) % self.e] += c
+        return FracCyc(self.e, out)
+
     def __eq__(self, other):
         return self.e == other.e and self.coeffs == other.coeffs
 

@@ -138,6 +138,26 @@ def test_kernel_matches_fraction_oracle(pair):
         assert power_basis_vector(x.inv()) == X.inv().coeffs
 
 
+@given(element_pairs(), st.integers(min_value=-40, max_value=40),
+       st.integers(min_value=-40, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_galois_maps_match_fraction_oracle(pair, j, k):
+    e, ca, cb = pair
+    x, y = Cyc(e, ca), Cyc(e, cb)
+    if math.gcd(j, e) != 1:
+        # zeta -> zeta^j is then no field map
+        with pytest.raises(ValueError):
+            x.galois(j)
+        return
+    # equal as canonical elements, so the map keeps the canonical form
+    assert x.galois(j) == Cyc(e, FracCyc(e, ca).galois(j).coeffs)
+    assert (x + y).galois(j) == x.galois(j) + y.galois(j)
+    assert (x * y).galois(j) == x.galois(j) * y.galois(j)
+    assert x.galois(-1) == x.conj()
+    if math.gcd(k, e) == 1:
+        assert x.galois(j).galois(k) == x.galois(j * k % e)
+
+
 @given(element_pairs())
 @settings(max_examples=40, deadline=None)
 def test_products_match_sympy(pair):

@@ -13,9 +13,11 @@ from calihecke.multipartitions import Charge, partitions_of
 from calihecke.seminormal import (
     _form_ratio,
     _invariance_verdict,
+    _is_galois_image,
     _relation_verdict,
     _t_entries,
-    _window_verdict,
+    _window_check,
+    _zeta_powers,
     admissible_transposition,
     class_form_signs,
     cyclotomic_membership,
@@ -76,6 +78,24 @@ def test_weight_class_rejects_uncalibrated():
 def test_module_rejects_a_repeated_weight():
     with pytest.raises(ValueError):
         seminormal_module([(0, 2), (2, 0), (0, 2)], 4)
+
+
+def test_module_and_signs_reject_an_a_that_shares_a_factor_with_e():
+    # q = zeta^a is then no primitive e-th root: some T_i entries divide by
+    # zero, the others build a module that no sigma_a maps to the one at
+    # a = 1, and a form sign can sit on a wall
+    rejected = 0
+    for e in range(4, 9):
+        for n in (2, 3):
+            for cls in enumerate_calibrated_classes(n, e):
+                for a in (a for a in range(1, e) if gcd(a, e) != 1):
+                    for build in (seminormal_module, class_form_signs):
+                        with pytest.raises(ValueError, match=r"need gcd\(a, e\) = 1"):
+                            build(cls, e, a)
+                    rejected += 1
+    assert rejected == 683
+    with pytest.raises(ValueError, match=r"need gcd\(a, e\) = 1"):
+        seminormal_module(weight_class((0, 2), 4), 4, 2)
 
 
 def test_weight_class_generic_staircase_is_singleton():
@@ -161,8 +181,7 @@ def _signs_or_error(signs, cls, e, a):
 
 def _locus_gate_classes():
     """(cls, e, a) for every calibrated (la, e) of the criterion-13 range
-    and every a in [1, e): a that shares a factor with e puts walls in the
-    class."""
+    and every a in [1, e) prime to e."""
     ns, es = SUITES["locus"][1]["gate"][0]
     for n in ns:
         for la in partitions_of(n):
@@ -171,7 +190,8 @@ def _locus_gate_classes():
                 if is_calibrated_weight(m, e):
                     cls = weight_class(m, e)
                     for a in range(1, e):
-                        yield cls, e, a
+                        if gcd(a, e) == 1:
+                            yield cls, e, a
 
 
 def test_class_form_signs_match_the_per_edge_oracle():
@@ -187,7 +207,8 @@ def test_class_form_signs_match_the_per_edge_oracle():
         assert got == _signs_or_error(class_form_signs_per_edge, cls, e, a), (cls, e, a)
         kind = got[:20] if isinstance(got, str) else "signs"
         outcomes[kind] = outcomes.get(kind, 0) + 1
-    assert outcomes == {"signs": 3039, "ValueError: wall wei": 873}
+    # at a prime to e no edge is a wall
+    assert outcomes == {"signs": 2607}
     # two weights that no admissible transposition joins
     for cls, e in (([(0, 1), (1, 0)], 5), ([], 3)):
         assert _signs_or_error(class_form_signs, cls, e, 1) == \
@@ -286,14 +307,19 @@ def _moved_diagonal(real, moved=2):
     return entries
 
 
+def _clear_window_memos():
+    _window_check.cache_clear()
+    _is_galois_image.cache_clear()
+
+
 @pytest.fixture
 def window_memo():
-    """The window memo keys no entry value, so a test that swaps
-    _t_entries starts and ends with it empty, and clears it after each
-    swap."""
-    _window_verdict.cache_clear()
-    yield _window_verdict.cache_clear
-    _window_verdict.cache_clear()
+    """The window memos (the verdicts and the Galois check) key no entry
+    value, so a test that swaps _t_entries starts and ends with them
+    empty, and clears them after each swap."""
+    _clear_window_memos()
+    yield _clear_window_memos
+    _clear_window_memos()
 
 
 def test_formula_rows_are_checked_on_a_module_equal_to_its_construction(monkeypatch, window_memo):
@@ -370,8 +396,10 @@ def _classes_beyond_the_gate():
 def test_window_route_matches_the_walk_beyond_the_gate(monkeypatch):
     checked, repeats = 0, 0
     for cls, e, a in _classes_beyond_the_gate():
-        report = _assert_routes_agree(seminormal_module(cls, e, a), monkeypatch)
+        mod = seminormal_module(cls, e, a)
+        report = _assert_routes_agree(mod, monkeypatch)
         assert all(report.values()), (cls[0], e, a)
+        assert verify_form_invariance(mod) == dense_form_invariance(mod), (cls[0], e, a)
         repeats += e == 2 and any(m[i] == m[i + 2] for m in cls for i in range(len(m) - 2))
         checked += 1
     assert checked > 80 and repeats > 0
@@ -383,9 +411,15 @@ def _swapped_diagonals(real):
     return lambda e, a, d: (real(e, a, -d % e)[0], real(e, a, d)[1])
 
 
+def _moved_at_minus_one(real):
+    """_moved_diagonal at a = e - 1 only: no sigma_a maps the construction
+    at a = 1 onto the one at a = e - 1, so its windows must not take the
+    verdict at a = 1."""
+    moved = _moved_diagonal(real)
+    return lambda e, a, d: moved(e, a, d) if a == e - 1 else real(e, a, d)
 
 
-@pytest.mark.parametrize("wrong", [_swapped_diagonals, _moved_diagonal])
+@pytest.mark.parametrize("wrong", [_swapped_diagonals, _moved_diagonal, _moved_at_minus_one])
 def test_window_route_matches_the_walk_on_wrong_entries(monkeypatch, window_memo, wrong):
     # an entry formula that breaks some rows but not others, built into
     # every module: the three routes must agree row by row, and the memo
@@ -395,10 +429,45 @@ def test_window_route_matches_the_walk_on_wrong_entries(monkeypatch, window_memo
     for mod in seminormal_modules(range(2, 7), range(2, 5)):
         report = _assert_routes_agree(mod, monkeypatch)
         verdicts.update((name.split("_")[0], ok) for name, ok in report.items())
+        # the invariance windows share the relation windows' Galois check
+        assert verify_form_invariance(mod) == dense_form_invariance(mod), (mod.cls[0], mod.e, mod.a)
     held = {kind for kind, ok in verdicts if ok}
     failed = {kind for kind, ok in verdicts if not ok}
     assert failed == ({"txt"} if wrong is _swapped_diagonals else {"quadratic", "txt", "braid"})
     assert {"quadratic", "txt", "braid"} <= held
+    # the Galois check tells the formula wrong at a = e - 1 alone apart
+    shared = {(e, a): _is_galois_image(e, a) for e in range(3, 7) for a in (1, e - 1)}
+    assert all(shared.values()) == (wrong is not _moved_at_minus_one)
+
+
+def _defined(f, e, a, d):
+    """f(e, a, d) as a tuple, or None where it divides by zero."""
+    try:
+        out = f(e, a, d)
+    except ZeroDivisionError:
+        return None
+    return out if isinstance(out, tuple) else (out,)
+
+
+def test_construction_at_a_is_the_galois_image_of_the_one_at_1():
+    # the premise of sharing window verdicts across a: every value the
+    # construction is built from, at every coprime a, is sigma_a of its
+    # value at a = 1, and is defined exactly where that is
+    checked = 0
+    for e in range(2, 25):
+        for a in (a for a in range(2, e) if gcd(a, e) == 1):
+            for m, b in enumerate(_zeta_powers(e, 1)):
+                assert _zeta_powers(e, a)[m] == b.galois(a), (e, a, m)
+                checked += 1
+            for f in (_t_entries, _form_ratio):
+                for d in range(e):
+                    base, image = _defined(f, e, 1, d), _defined(f, e, a, d)
+                    assert (base is None) == (image is None), (f.__name__, e, a, d)
+                    if base is not None:
+                        assert image == tuple(x.galois(a) for x in base), (f.__name__, e, a, d)
+                        checked += 1
+            assert _is_galois_image(e, a)
+    assert checked == 7533
 
 
 def test_relation_order_matches_column_oracle_up_to_n8():
@@ -426,28 +495,46 @@ def _rescaled(cls, e):
     return mod
 
 
+def _rescaled_form(cls, e):
+    """The form values that the module _rescaled(cls, e) keeps invariant:
+    D T D^-1 is an isometry of D^-dagger G D^-1, D = diag(1, ..., 1, 2), so
+    the last value is divided by 4."""
+    values = form_values(seminormal_module(cls, e))
+    values[-1] = values[-1] * Cyc.from_rational(e, Fraction(1, 4))
+    return values
+
+
 def test_verdicts_are_memoised_per_local_configuration(monkeypatch):
     cls = weight_class((0, 1, 3, 4), 6)
     _relation_verdict.cache_clear()
     _invariance_verdict.cache_clear()
-    _window_verdict.cache_clear()
-    assert all(verify_hecke_relations(_rescaled(cls, 6)).values())
-    verify_form_invariance(seminormal_module(cls, 6))
-    relations, invariance = _relation_verdict.cache_info(), _invariance_verdict.cache_info()
-    # local configurations repeat even within one module
-    assert relations.hits > 0 and invariance.hits > 0
-    # a second module of the same class builds the same local keys
-    assert all(verify_hecke_relations(_rescaled(cls, 6)).values())
-    assert all(verify_form_invariance(seminormal_module(cls, 6)).values())
-    assert _relation_verdict.cache_info().misses == relations.misses
-    assert _invariance_verdict.cache_info().misses == invariance.misses
+    _window_check.cache_clear()
+    with monkeypatch.context() as patch:
+        # a module that is not its construction walks, with its own form
+        patch.setattr(seminormal, "form_values", lambda _: _rescaled_form(cls, 6))
+        assert all(verify_hecke_relations(_rescaled(cls, 6)).values())
+        assert all(verify_form_invariance(_rescaled(cls, 6)).values())
+        relations, invariance = _relation_verdict.cache_info(), _invariance_verdict.cache_info()
+        # local configurations repeat even within one module
+        assert relations.hits > 0 and invariance.hits > 0
+        # a second module of the same class builds the same local keys
+        assert all(verify_hecke_relations(_rescaled(cls, 6)).values())
+        assert all(verify_form_invariance(_rescaled(cls, 6)).values())
+        assert _relation_verdict.cache_info().misses == relations.misses
+        assert _invariance_verdict.cache_info().misses == invariance.misses
     # a module that is its construction reads its windows, and a second
     # one of the same class adds no window to the memo
     assert all(verify_hecke_relations(seminormal_module(cls, 6)).values())
-    windows = _window_verdict.cache_info()
+    assert all(verify_form_invariance(seminormal_module(cls, 6)).values())
+    windows = _window_check.cache_info()
     assert windows.misses > 0
     assert all(verify_hecke_relations(seminormal_module(cls, 6)).values())
-    assert _window_verdict.cache_info().misses == windows.misses
+    assert all(verify_form_invariance(seminormal_module(cls, 6)).values())
+    assert _window_check.cache_info().misses == windows.misses
+    # nor does one at a = 5: sigma_5 maps the construction at a = 1 onto it
+    assert all(verify_hecke_relations(seminormal_module(cls, 6, 5)).values())
+    assert all(verify_form_invariance(seminormal_module(cls, 6, 5)).values())
+    assert _window_check.cache_info().misses == windows.misses
     # the form values belong to the local configuration: M^dagger G M = G
     # holds for every multiple of G, but not after one value of G is doubled
     mod = seminormal_module(cls, 6)
@@ -485,11 +572,17 @@ def test_all_classes_satisfy_relations(e, n):
         assert all(verify_form_invariance(mod).values())
 
 
-def test_sparse_invariance_matches_dense_oracle():
-    # the gate's criterion-6 sweep: every calibrated class at every coprime a
+def test_sparse_invariance_matches_dense_oracle(monkeypatch):
+    # the gate's criterion-6 sweep: every calibrated class at every coprime
+    # a, read off windows, walked and checked entry by entry
     checked = 0
     for mod in seminormal_modules(*GATE_ARGS):
-        assert verify_form_invariance(mod) == dense_form_invariance(mod)
+        assert is_construction(mod)
+        report = verify_form_invariance(mod)
+        assert report == dense_form_invariance(mod), (mod.cls[0], mod.e, mod.a)
+        with monkeypatch.context() as patch:
+            patch.setattr(seminormal, "is_construction", lambda _: False)
+            assert verify_form_invariance(mod) == report, (mod.cls[0], mod.e, mod.a)
         checked += 1
     assert checked == GATE_FLOORS["hecke_relations"]
 
