@@ -32,10 +32,19 @@ def rho(ch, hbar):
     return tuple(out)
 
 
-def embed(mp, hbar):
-    """Row lengths of mp in the block coordinate order, zero-padded."""
+def _fits(mp, hbar):
+    """mp, once checked to have one component per entry of hbar, each no
+    taller than its entry."""
+    if len(mp) != len(hbar):
+        raise ValueError("multipartition and hbar must have the same level")
     if any(len(comp) > h for comp, h in zip(mp, hbar)):
         raise ValueError("component height exceeds hbar")
+    return mp
+
+
+def embed(mp, hbar):
+    """Row lengths of mp in the block coordinate order, zero-padded."""
+    _fits(mp, hbar)
     out = []
     for m in range(len(hbar) - 1, -1, -1):
         out += mp[m]
@@ -58,18 +67,21 @@ def reflect(v, root, r, e):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _pairs(h):
-    return [(i, j) for i in range(h) for j in range(i + 1, h)]
+    """The positive roots eps_i - eps_j of Z^h as pairs i < j."""
+    return tuple((i, j) for i in range(h) for j in range(i + 1, h))
 
 
 @lru_cache(maxsize=None)
 def _walls(ch, hbar):
-    """The table of the frame (ch, hbar): rho, the walls, and the chains.
+    """The table of the frame (ch, hbar): rho, the windows, and the chains.
 
-    - walls: for each positive root (i, j) the open window
-      (lo, hi) = (k*e, (k+1)*e) of the origin's inner product <rho, alpha>,
-      as rows (i, j, lo, hi); None when the origin lies on a hyperplane of
-      any root;
+    - windows: for each positive root (i, j) the open window (lo, hi) of
+      the row-length difference x_i - x_j that puts <x + rho, alpha> in the
+      origin's e-window (k*e, (k+1)*e), as rows (i, j, lo, hi) with
+      lo = k*e - <rho, alpha> and hi = lo + e; None when the origin lies on
+      a hyperplane of any root;
     - chains: for each coordinate k, the coordinates (above, below) next
       to it in its component's block, -1 at the block's ends.  A shifted
       point is a multipartition point when it is strictly decreasing along
@@ -82,31 +94,52 @@ def _walls(ch, hbar):
         start, h = len(chains), hbar[m - 1]
         chains.extend((k - 1 if k > start else -1, k + 1 if k < start + h - 1 else -1)
                       for k in range(start, start + h))
-    walls = []
+    windows = []
     for i, j in _pairs(len(p)):
         d0 = p[i] - p[j]
         if d0 % e == 0:
             return p, None, tuple(chains)
-        walls.append((i, j, d0 // e * e, (d0 // e + 1) * e))
-    return p, tuple(walls), tuple(chains)
+        lo = d0 // e * e - d0
+        windows.append((i, j, lo, lo + e))
+    return p, tuple(windows), tuple(chains)
+
+
+def _windows(ch, hbar):
+    """The windows of the frame's wall table; ValueError when the origin
+    lies on a hyperplane."""
+    windows = _walls(ch, hbar)[1]
+    if windows is None:
+        raise ValueError("origin lies on a hyperplane; charge/hbar invalid")
+    return windows
+
+
+def _inside(mp, hbar, windows):
+    """Does lambda + rho lie in the fundamental alcove of the frame with
+    these windows?  mp must fit hbar (_fits), which is not checked: its
+    rows are laid out in the block order, zero-padded, and each root's
+    row-length difference is read against its window."""
+    rows = ()
+    for m in range(len(hbar) - 1, -1, -1):
+        comp = mp[m]
+        rows += comp + (0,) * (hbar[m] - len(comp))
+    for i, j, lo, hi in windows:
+        if not lo < rows[i] - rows[j] < hi:
+            return False
+    return True
 
 
 def in_fundamental_alcove(mp, ch, hbar):
     """Is lambda + rho in the alcove of the origin (closure-free)?
 
     For each positive root the inner product must avoid all hyperplanes and
-    sit in the same e-window as the origin's; the windows are read from the
-    frame's wall table.  Raises ValueError for every label of a frame whose
-    origin lies on a hyperplane.
+    sit in the same e-window as the origin's; the windows are read, moved
+    onto row lengths, from the frame's wall table.  Raises ValueError for
+    every label of a frame whose origin lies on a hyperplane, and for a
+    multipartition that does not fit hbar.
     """
-    p, walls, _ = _walls(ch, tuple(hbar))
-    if walls is None:
-        raise ValueError("origin lies on a hyperplane; charge/hbar invalid")
-    v = [a + b for a, b in zip(embed(mp, hbar), p)]
-    for i, j, lo, hi in walls:
-        if not lo < v[i] - v[j] < hi:
-            return False
-    return True
+    hbar = tuple(hbar)
+    windows = _windows(ch, hbar)
+    return _inside(_fits(mp, hbar), hbar, windows)
 
 
 def length(mp, ch, hbar):
@@ -181,8 +214,9 @@ def _path_fold(ch, hbar):
     alcove of the frame (ch, hbar): fold(mp) = |Path^F(mp)|, 0 when no such
     path reaches mp.  One fold per frame, so the labels of a frame
     test each prefix shape against the alcove once between them; the KLR
-    check (bgg._klr_fold) reads the frame's windows off it."""
-    return tableau_sums(keep=lambda shape: in_fundamental_alcove(shape, ch, hbar))
+    check (bgg._klr_fold) walks the down-steps it records (fold.kept)."""
+    windows = _windows(ch, hbar)
+    return tableau_sums(keep=lambda shape: _inside(shape, hbar, windows))
 
 
 def count_fundamental_paths(mp, ch, hbar):

@@ -5,7 +5,10 @@ The free functions of one label read one cached BlockPoset, built once,
 and the folds over prefix shapes are shared wider: the alcove fold (which
 gives |Path^F(lambda)|) and the KLR verdicts by every label of a frame
 (ch, hbar), the graded fold by every label of a charge, the tableau count
-by all.
+by all.  Each fold steps down from a shape by one scan of its rows
+(multipartitions._down_steps), the alcove fold tests row lengths against
+the frame's windows (alcoves._inside), and the KLR walk takes no step of
+its own: it reads the down-steps that the alcove fold kept.
 
 One orbit walk builds a label's block: its nodes, and for each node the
 nodes one affine reflection away.  The covers are the reflection pairs
@@ -22,9 +25,9 @@ swap closure read two-step windows, R5 is one residue predicate on
 three-step windows (no i_k = i_{k+2} = i_{k+1} +- 1), the cyclotomic
 relation reads the first step, and R1, R2 (every distance) and R4 follow
 from closure or hold by construction (verify_klr_relations).  A window is a
-prefix shape the frame's alcove fold reaches and the steps after it, so
-the frame's handful of shapes stand in for its paths, which can number in
-the trillions.
+prefix shape the frame's alcove fold reaches and the steps after it, each
+a down-step the fold kept, read backwards, so the frame's handful of
+shapes stand in for its paths, which can number in the trillions.
 
 Graded characters are Laurent polynomials in t stored as dicts
 degree -> coefficient.
@@ -33,10 +36,12 @@ degree -> coefficient.
 from functools import lru_cache
 
 from .alcoves import (
+    _fits,
+    _inside,
     _path_fold,
     _walls,
+    _windows,
     embed,
-    in_fundamental_alcove,
     point_length,
 )
 from .multipartitions import (
@@ -44,9 +49,6 @@ from .multipartitions import (
     dominance_signature,
     mp_size,
     multipartitions_of,
-    remove_box,
-    removable_boxes,
-    residue,
     signature_dominates,
     tableau_sums,
     _step_degrees,
@@ -83,7 +85,9 @@ class BlockPoset:
     """
 
     def __init__(self, la, ch, hbar):
-        if not in_fundamental_alcove(la, ch, hbar):
+        windows = _windows(ch, hbar)
+        rows = embed(la, hbar)
+        if not _inside(la, hbar, windows):
             raise ValueError("base point must lie in the fundamental alcove")
         self.ch, self.hbar = ch, hbar
         base, _, chains = _walls(ch, hbar)
@@ -91,7 +95,7 @@ class BlockPoset:
         n = mp_size(la)
         e = ch.e
         h = len(base)
-        start = tuple(a + b for a, b in zip(embed(la, hbar), base))
+        start = tuple(a + b for a, b in zip(rows, base))
         points = {la: start}
         label = {start: la}  # point -> its multipartition
         reflections = {}
@@ -272,23 +276,21 @@ def euler_check(la, ch, hbar):
 
 def graded_character_identity(la, ch, hbar):
     """Test sum over mu of (-1)^len t^(c*len) grchar(mu) = |Path^F| t^0 for
-    the shift conventions c = 1 and c = 2; report which hold."""
+    the shift conventions c = 1 and c = 2; report which hold.  One pass
+    over the nodes folds both sums."""
     poset = block(la, ch, hbar)
     rhs = _path_fold(ch, hbar)(la)
     char = _graded_fold(ch)
-    chars = {mu: char(mu) for mu in poset.nodes}
-    report = {}
-    for c in (1, 2):
-        total = {}
-        for mu in poset.nodes:
-            ln = poset.lengths[mu]
-            sign = (-1) ** ln
-            for d, coeff in chars[mu].items():
-                key = d + c * ln
-                total[key] = total.get(key, 0) + sign * coeff
-        total = {d: x for d, x in total.items() if x}
-        report[c] = total == ({0: rhs} if rhs else {})
-    return report
+    one, two = {}, {}
+    for mu in poset.nodes:
+        ln = poset.lengths[mu]
+        sign = -1 if ln & 1 else 1
+        for d, coeff in char(mu).items():
+            x = sign * coeff
+            one[d + ln] = one.get(d + ln, 0) + x
+            two[d + 2 * ln] = two.get(d + 2 * ln, 0) + x
+    want = {0: rhs} if rhs else {}
+    return {c: {d: x for d, x in total.items() if x} == want for c, total in ((1, one), (2, two))}
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +306,8 @@ class KLRModule:
         if ch.e <= 2:
             raise ValueError("quiver Hecke relations require e > 2")
         self.la, self.ch, self.hbar = la, ch, hbar
-        if not in_fundamental_alcove(la, ch, hbar):
+        windows = _windows(ch, hbar)
+        if not _inside(_fits(la, hbar), hbar, windows):
             raise ValueError("base point must lie in the fundamental alcove")
 
     def dim(self):
@@ -335,46 +338,40 @@ def _braid_fails(x, y, z, e):
 def _klr_fold(ch, hbar):
     """The KLR verdict of each label of the frame (ch, hbar), memoised per
     prefix shape: the verdict at nu ANDs the windows that end at nu with
-    the verdicts at nu - b for each removable b whose smaller shape the
-    alcove fold reaches, so it is the verdict of D(nu), and every label of
+    the verdicts at nu - b for each down-step that the frame's alcove fold
+    keeps (fold.kept), so it is the verdict of D(nu), and every label of
     the frame reuses the shapes its earlier labels checked.  A verdict is
     an int of the _CLOSED, _R3, _R5 and _CYCLOTOMIC bits.
 
-    The returned value closes over the frame's memo of verdicts and, next
-    to it, the down-steps (box, residue, smaller shape) of each shape it
-    walked; every key is a shape of the frame's alcove fold.
+    The returned value closes over the frame's memo of verdicts; every key
+    is a shape of the frame's alcove fold, and the walk reads each step's
+    residue off its box.
     """
-    fold = _path_fold(ch, hbar)
-    e = ch.e
-    targets = {s % e for s in ch.s}
-    memo, steps = {}, {}
-
-    def down(shape):
-        out = steps.get(shape)
-        if out is None:
-            out = steps[shape] = []
-            for b in removable_boxes(shape):
-                smaller = remove_box(shape, b)
-                if fold(smaller):
-                    out.append((b, residue(b, ch), smaller))
-        return out
+    kept = _path_fold(ch, hbar).kept
+    s, e = ch.s, ch.e
+    targets = {x % e for x in s}
+    memo = {}
 
     def value(nu):
         ok = memo.get(nu)
         if ok is not None:
             return ok
         ok = _HOLDS
-        for c, z, nu1 in down(nu):
+        below = kept(nu)
+        for c, nu1 in below:
+            z = (s[c[2] - 1] + c[1] - c[0]) % e
             if not any(nu1) and z not in targets:  # the first step
                 ok &= ~_CYCLOTOMIC
-            for b, y, nu2 in down(nu1):  # the window nu2 -> b -> c
+            for b, nu2 in kept(nu1):  # the window nu2 -> b -> c
+                y = (s[b[2] - 1] + b[1] - b[0]) % e
                 if y == z:
                     ok &= ~_R3
-                # far boxes are not adjacent, so b is removable from nu
-                if _far(y, z, e) and not fold(remove_box(nu, b)):
+                # far boxes are not adjacent, so b is removable from nu, and
+                # the fold reaches nu - b iff b is one of nu's kept down-steps
+                if _far(y, z, e) and all(b != a for a, _ in below):
                     ok &= ~_CLOSED
-                for _, x, _ in down(nu2):  # the window nu3 -> a -> b -> c
-                    if _braid_fails(x, y, z, e):
+                for a, _ in kept(nu2):  # the window nu3 -> a -> b -> c
+                    if _braid_fails((s[a[2] - 1] + a[1] - a[0]) % e, y, z, e):
                         ok &= ~_R5
             ok &= value(nu1)
         memo[nu] = ok

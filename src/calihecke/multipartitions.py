@@ -214,6 +214,22 @@ def standard_tableaux(mp):
     yield from rec(tuple(() for _ in mp))
 
 
+def _down_steps(shape):
+    """(b, shape - b) for each removable box b of shape, in the order of
+    removable_boxes: one scan, which trusts shape to be a multipartition
+    and checks nothing."""
+    out = []
+    for m, comp in enumerate(shape):
+        last = len(comp) - 1
+        for r, c in enumerate(comp):
+            if r < last and comp[r + 1] == c:
+                continue
+            # a box in column 1 is removable only from the last row
+            rows = comp[:r] if c == 1 else comp[:r] + (c - 1,) + comp[r + 1:]
+            out.append(((r + 1, c, m + 1), shape[:m] + (rows,) + shape[m + 1:]))
+    return out
+
+
 def tableau_sums(steps=None, keep=None):
     """The fold over prefix shapes behind every sum over standard tableaux.
 
@@ -225,9 +241,16 @@ def tableau_sums(steps=None, keep=None):
     F(shape) = {} (or 0) when it fails, so only the tableaux all of whose
     prefix shapes satisfy keep are counted.  F memoises every prefix shape
     it meets for as long as F lives, so one F evaluated at shapes that share
-    sub-shapes visits (and tests with keep) each once.
+    sub-shapes visits (and tests with keep) each once.  Each visit reads
+    the shape's down-steps (b, shape - b) off one scan (_down_steps).
+
+    F.kept(shape) lists the down-steps (b, shape - b) whose smaller shape F
+    reaches (F(shape - b) nonzero), and nothing when F(shape) is zero: the
+    last steps of the tableaux that F counts.  An ungraded F with keep
+    records them as it sums, so a walk over its tableaux reads them without
+    a scan; any other F scans on the first call per shape and keeps that.
     """
-    memo = {}
+    memo, record = {}, {}
 
     def fold(shape):
         out = memo.get(shape)
@@ -237,16 +260,39 @@ def tableau_sums(steps=None, keep=None):
             out = 0 if steps is None else {}
         elif not any(shape):
             out = 1 if steps is None else {0: 1}
+        elif steps is None and keep is None:
+            # no record: the tableau count shares one F among all shapes, and
+            # recording its steps raised the n = 36 bgg command's peak RSS
+            # from 440 to 591 MB
+            out = sum(fold(smaller) for _, smaller in _down_steps(shape))
         elif steps is None:
-            out = sum(fold(remove_box(shape, b)) for b in removable_boxes(shape))
+            out = 0
+            kept = []
+            for step in _down_steps(shape):
+                x = fold(step[1])
+                if x:
+                    out += x
+                    kept.append(step)
+            record[shape] = tuple(kept)
         else:
             out = {}
-            for b, d in steps(shape).items():
-                for k, x in fold(remove_box(shape, b)).items():
+            degrees = steps(shape)
+            for b, smaller in _down_steps(shape):
+                d = degrees[b]
+                for k, x in fold(smaller).items():
                     out[k + d] = out.get(k + d, 0) + x
         memo[shape] = out
         return out
 
+    def kept(shape):
+        if not fold(shape):
+            return ()
+        out = record.get(shape)
+        if out is None:
+            out = record[shape] = tuple(step for step in _down_steps(shape) if fold(step[1]))
+        return out
+
+    fold.kept = kept
     return fold
 
 
@@ -278,22 +324,38 @@ def reverse_column_reading_tableau(mp, m=1):
 
 
 def _step_degrees(mu, ch):
-    """{b: d(mu, b)} over the removable boxes b of mu.
+    """{b: d(mu, b)} over the removable boxes b of mu, in the order of
+    removable_boxes.
 
     d(mu, b) is the degree of the step that adds b last to reach mu: the
     number of addable boxes of mu with b's residue strictly more dominant
     than b, minus the number of such removable boxes (Brundan-Kleshchev-Wang,
     Graded Specht modules).  It depends only on mu and b, so a tableau's
     degree is the sum of the steps along its prefix shapes.
+
+    One scan of the rows finds every addable and removable box, each filed
+    under its residue with the int content * (ell + 1) - m, which orders
+    boxes as box_key does, and a sign: +1 addable, -1 removable.
     """
-    add = [(residue(x, ch), box_key(x, ch)) for x in addable_boxes(mu)]
-    rem_boxes = removable_boxes(mu)
-    rem = [(residue(x, ch), box_key(x, ch)) for x in rem_boxes]
-    out = {}
-    for b, (i, key) in zip(rem_boxes, rem):
-        out[b] = (sum(1 for j, k in add if j == i and k > key)
-                  - sum(1 for j, k in rem if j == i and k > key))
-    return out
+    s, e = ch.s, ch.e
+    scale = len(mu) + 1
+    signed = {}  # residue -> [(key, sign)]
+    removable = []  # (box, residue, key)
+    for m, comp in enumerate(mu, start=1):
+        sm = s[m - 1]
+        height = len(comp)
+        for r, c in enumerate(comp, start=1):
+            if r == 1 or comp[r - 2] > c:  # (r, c + 1) is addable
+                content = sm + c + 1 - r
+                signed.setdefault(content % e, []).append((content * scale - m, 1))
+            if r == height or comp[r] < c:  # (r, c) is removable
+                content = sm + c - r
+                i, key = content % e, content * scale - m
+                signed.setdefault(i, []).append((key, -1))
+                removable.append(((r, c, m), i, key))
+        content = sm - height  # (height + 1, 1) is addable
+        signed.setdefault(content % e, []).append((content * scale - m, 1))
+    return {b: sum(sign for k, sign in signed[i] if k > key) for b, i, key in removable}
 
 
 def tableau_degree(t, ch):

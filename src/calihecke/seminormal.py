@@ -402,6 +402,7 @@ def _window_check(e, a, kind, window):
     T = [_t_op(edges, e, a, i) for i in range(n - 1)]
     if kind == "invariance":
         values = _propagate(edges, Cyc.one(e), lambda d: _form_ratio(e, a, d),
+                            lambda d: _reciprocal_ratio(e, a, d),
                             "inconsistent form values around a cycle")
         return _isometry(T[0], [[(j, g)] for j, g in enumerate(values)], e)
     ops = T + [_x_op(cls, e, a, k) for k in range(n)]
@@ -462,28 +463,40 @@ def _edges(cls, e):
     return tuple(edges)
 
 
-def _propagate(edges, start, step, inconsistent):
+def _propagate(edges, start, step, reciprocal, inconsistent):
     """Values on a weight class with the edge list edges (see
-    _class_edges), start at its first weight, carried along the edges: the
-    value at s_i m is the value at m times step(d).  Raises
-    ValueError(inconsistent) when two paths disagree."""
-    vals = {0: start}
+    _class_edges), start at its first weight, carried along the edges of a
+    spanning tree: the value at s_i m is the value at m times step(d).
+
+    Every other edge agrees with the tree iff step(d) * step(-d mod e) = 1
+    at each difference d of an edge, which reciprocal(d) tells.  Only if:
+    the edge back along s_i has difference -d.  If: s_i never swaps equal
+    entries, so a closed walk returns every entry to its place; each pair
+    of entries is therefore swapped an even number of times, alternately
+    with d and -d mod e, and the product of the steps around the walk is a
+    product of such pairs.  Raises ValueError(inconsistent) when reciprocal
+    fails at the difference of an edge the walk meets, so at the same
+    classes as the walk that multiplies along every edge."""
+    vals = [start] + [None] * (len(edges) - 1)
+    differences = set()
     frontier = [0] if edges else []
+    reached = 1
     while frontier:
         j = frontier.pop()
+        value = vals[j]
         for k, d in edges[j]:
             if k is None:
                 continue
-            target = vals[j] * step(d)
-            if k in vals:
-                if vals[k] != target:
-                    raise ValueError(inconsistent)
-            else:
-                vals[k] = target
+            differences.add(d)
+            if vals[k] is None:
+                vals[k] = value * step(d)
                 frontier.append(k)
-    if len(vals) != len(edges):
+                reached += 1
+    if not all(map(reciprocal, differences)):
+        raise ValueError(inconsistent)
+    if reached != len(edges):
         raise ValueError("weight class is not connected by admissible transpositions")
-    return [vals[j] for j in range(len(edges))]
+    return vals
 
 
 def class_form_signs(cls, e, a=1):
@@ -494,7 +507,8 @@ def class_form_signs(cls, e, a=1):
     re_compare on exponents.  No matrices are needed.
 
     The sign of an edge depends only on d = (m_i - m_{i+1}) mod e, so
-    re_compare runs once per difference d that the walk meets.  a must be
+    re_compare runs once per difference d that the walk meets (and its
+    negative, for the check that the signs at d and -d agree).  a must be
     prime to e, so that q = zeta^a is primitive; then no edge is a wall:
     Re(zeta^(a*d)) = Re(q) means a*d = +-a, so d = +-1 (mod e), and s_i is
     not admissible there."""
@@ -510,7 +524,7 @@ def class_form_signs(cls, e, a=1):
             sign = signs[d] = 1 if re_compare(a, a * d, e) > 0 else -1
         return sign
 
-    vals = _propagate(_class_edges(cls, e), 1, step,
+    vals = _propagate(_class_edges(cls, e), 1, step, lambda d: step(d) * step(-d % e) == 1,
                       "inconsistent sign propagation around a cycle")
     return dict(zip(cls, vals))
 
@@ -533,7 +547,18 @@ def _class_form(cls, e, a):
     entry: verify_form_invariance compares a module's form values with it
     right after they are built."""
     return tuple(_propagate(_class_edges(cls, e), Cyc.one(e), lambda d: _form_ratio(e, a, d),
+                            lambda d: _reciprocal_ratio(e, a, d),
                             "inconsistent form values around a cycle"))
+
+
+@lru_cache(maxsize=None)
+def _reciprocal_ratio(e, a, d):
+    """Is _form_ratio(e, a, d) * _form_ratio(e, a, -d mod e) = 1?  Then
+    _propagate carries the form values along edges of difference d
+    consistently.  Checked once per (e, a, d) that an edge has, so no
+    case pays for the differences no class meets; the key holds no ratio,
+    so a change of _form_ratio needs cache_clear."""
+    return _form_ratio(e, a, d) * _form_ratio(e, a, -d % e) == 1
 
 
 @lru_cache(maxsize=None)

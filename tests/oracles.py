@@ -10,7 +10,10 @@ an isometry of the diagonal Gram form.
 applies each side's operators to every basis vector in turn, starting from
 that vector times one.
 ``tableau_sum_character`` is the original graded character, a sum over every
-standard tableau of t^degree; ``alcove_filtered_basis`` is the original KLR
+standard tableau of t^degree; ``step_degrees_by_helpers`` is the original
+step degree, which reads the addable and removable boxes, their residues
+and their box keys through the public helpers, and ``down_steps_by_remove``
+the original down-steps, removable_boxes with remove_box applied to each; ``alcove_filtered_basis`` is the original KLR
 basis, every standard tableau filtered by rebuilding each prefix shape from
 its boxes and testing it against the fundamental alcove, and
 ``path_residues`` reads a path's residues off its coordinates.
@@ -33,6 +36,9 @@ which reduces the whole weight mod e before comparing two of its entries.
 ``class_form_signs_per_edge`` is the original form-sign propagation, which
 builds its own adjacency of the class with the reduced admissibility test,
 walks it, and calls ``re_compare`` once per edge.
+``propagate_all_edges`` is the original propagation over a class's edge
+list, which multiplies along every directed edge and compares each value
+it meets a second time.
 ``i_word_scan`` is the original i-word, which rescans every box of the
 multipartition for one residue; ``f_tilde_scan`` and ``e_tilde_scan`` read
 the reduced scanned word, ``reachable_by_size_scan`` is the breadth-first
@@ -285,6 +291,24 @@ def tableau_sum_character(mu, ch):
         d = tableau_degree(t, ch)
         out[d] = out.get(d, 0) + 1
     return out
+
+
+def step_degrees_by_helpers(mu, ch):
+    """{b: d(mu, b)} over the removable boxes b of mu: the addable boxes of
+    mu with b's residue and a larger box_key, minus such removable boxes."""
+    add = [(residue(x, ch), box_key(x, ch)) for x in addable_boxes(mu)]
+    rem_boxes = removable_boxes(mu)
+    rem = [(residue(x, ch), box_key(x, ch)) for x in rem_boxes]
+    out = {}
+    for b, (i, key) in zip(rem_boxes, rem):
+        out[b] = (sum(1 for j, k in add if j == i and k > key)
+                  - sum(1 for j, k in rem if j == i and k > key))
+    return out
+
+
+def down_steps_by_remove(shape):
+    """(b, shape - b) for each removable box b, through remove_box."""
+    return [(b, remove_box(shape, b)) for b in removable_boxes(shape)]
 
 
 def _prefix_shape(order, ell):
@@ -649,6 +673,30 @@ def class_form_signs_per_edge(cls, e, a=1):
     if len(vals) != len(cls):
         raise ValueError("weight class is not connected by admissible transpositions")
     return {b: vals[j] for j, b in enumerate(cls)}
+
+
+def propagate_all_edges(edges, start, step, inconsistent):
+    """Values on a weight class with the edge list edges (see
+    seminormal._class_edges), start at its first weight, carried along
+    every edge: the value at s_i m is the value at m times step(d).  Raises
+    ValueError(inconsistent) when two paths disagree."""
+    vals = {0: start}
+    frontier = [0] if edges else []
+    while frontier:
+        j = frontier.pop()
+        for k, d in edges[j]:
+            if k is None:
+                continue
+            target = vals[j] * step(d)
+            if k in vals:
+                if vals[k] != target:
+                    raise ValueError(inconsistent)
+            else:
+                vals[k] = target
+                frontier.append(k)
+    if len(vals) != len(edges):
+        raise ValueError("weight class is not connected by admissible transpositions")
+    return [vals[j] for j in range(len(edges))]
 
 
 def i_word_scan(mp, ch, i):

@@ -50,6 +50,19 @@ def test_embed_known():
     assert embed(((), ()), HBAR) == (0, 0, 0, 0, 0, 0)
 
 
+def test_a_multipartition_that_does_not_fit_hbar_is_refused():
+    # a third component beyond hbar's two must not be dropped, and a
+    # missing component must not raise IndexError
+    ch, hbar = Charge((0, 3), 7), (1, 1)
+    for mp in (((1,), (1,), (5,)), ((1,),)):
+        for f in (in_fundamental_alcove, length):
+            with pytest.raises(ValueError, match="same level"):
+                f(mp, ch, hbar)
+        with pytest.raises(ValueError, match="same level"):
+            embed(mp, hbar)
+    assert in_fundamental_alcove(((1,), (1,)), ch, hbar)
+
+
 def test_b_alpha_values():
     # simple roots inside a block have b = 1; the crossing between the two
     # blocks sits after the h_2 = 4 leading coordinates

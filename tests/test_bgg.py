@@ -53,17 +53,18 @@ GATE_ARGS, GATE_FLOORS = SUITES["klr"][1]["gate"]
 
 
 def _count_alcove_tests(monkeypatch):
-    """Count the alcove tests of each shape: the label's entry check in bgg
-    and the prefix-shape tests of the frame's alcove fold in alcoves."""
+    """Count the alcove tests of each shape: the label's entry checks in bgg
+    and the prefix-shape tests of the frame's alcove fold in alcoves, each
+    a call of the row test _inside."""
     tested = Counter()
-    real = alcoves.in_fundamental_alcove
+    real = alcoves._inside
 
     def counting(mp, *frame):
         tested[mp] += 1
         return real(mp, *frame)
 
     for module in (alcoves, bgg):
-        monkeypatch.setattr(module, "in_fundamental_alcove", counting)
+        monkeypatch.setattr(module, "_inside", counting)
     return tested
 
 
@@ -238,6 +239,7 @@ def test_klr_basis_tests_each_prefix_shape_once(monkeypatch):
     clear_package_caches()
     mod = build_klr_module(la, ch, hbar)
     assert mod.dim() == 22
+    assert tested[la] == 2 and len(tested) > 1  # the spy sees the cold frame's tests
     tested[la] -= 1  # the label's own entry check
     assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
 
@@ -261,6 +263,7 @@ def test_block_is_built_once_per_label(monkeypatch):
     assert euler["ok"] and conventions[1]
     assert mod.dim() == euler["fundamental_paths"] == 22
     assert len(posets) == 1 and poset.nodes[0] == la
+    assert tested[la] == 3 and len(tested) > 1  # the spy sees the cold frame's tests
     tested[la] -= 2  # the label's entry checks, one by its block poset, one by its KLR module
     assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
 
@@ -274,6 +277,7 @@ def test_labels_of_one_frame_test_each_prefix_shape_once(monkeypatch):
         assert euler["ok"]
         assert build_klr_module(la, ch, hbar).dim() == euler["fundamental_paths"]
     assert labels[0] in tested  # the smaller label is a prefix shape of the larger
+    assert tested[labels[1]] == 3  # the spy sees the cold frame's tests
     for la in labels:
         tested[la] -= 2  # each label's entry checks, by its block poset and by its KLR module
     assert set(tested.values()) == {1}, [mp for mp, k in tested.items() if k > 1]
@@ -462,12 +466,16 @@ def test_r5_fails_end_to_end_without_the_alcove_filter(monkeypatch):
 
 
 def test_klr_verdicts_are_shared_by_the_labels_of_a_frame(monkeypatch):
+    # the KLR walk reads the down-steps that the frame's alcove fold keeps;
     # after the label's check, a label among its prefix shapes reads its
     # verdict from the frame's memo and walks no down-step
     ch, hbar = Charge((0, 3), 6), (2, 1)
-    verify_klr_relations(build_klr_module(((3, 1), (2,)), ch, hbar))
+    fold = alcoves._path_fold(ch, hbar)
     walked = []
-    real = bgg.removable_boxes
-    monkeypatch.setattr(bgg, "removable_boxes", lambda shape: walked.append(shape) or real(shape))
+    real = fold.kept
+    monkeypatch.setattr(fold, "kept", lambda shape: walked.append(shape) or real(shape))
+    verify_klr_relations(build_klr_module(((3, 1), (2,)), ch, hbar))
+    assert ((3, 1), (2,)) in walked  # the spy sees the cold frame's walk
+    walked.clear()
     report = verify_klr_relations(build_klr_module(((2, 1), (1,)), ch, hbar))
     assert all(report.values()) and walked == []

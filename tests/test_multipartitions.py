@@ -32,8 +32,17 @@ from calihecke.multipartitions import (
     standard_tableaux,
     step_changes,
     tableau_degree,
+    _down_steps,
+    _step_degrees,
 )
-from oracles import is_standard_tableau, residue_multiset, residue_sequence
+from calihecke.sweeps import charges
+from oracles import (
+    down_steps_by_remove,
+    is_standard_tableau,
+    residue_multiset,
+    residue_sequence,
+    step_degrees_by_helpers,
+)
 
 
 @st.composite
@@ -178,6 +187,24 @@ COLUMN_READING = (
     ((2, 8, 12, 14), (3, 9), (4,)),
     ((1, 7, 11, 13, 15),),
 )
+
+
+def test_one_scan_steps_match_the_helper_oracles():
+    # every multipartition of size <= 7 (<= 5 at level 3), levels 1-3, with
+    # every sorted charge for e 2..8: the step degrees, in removable_boxes
+    # order, and the down-steps of each shape
+    pairs = 0
+    for ell in (1, 2, 3):
+        shapes = [mp for n in range(6 if ell == 3 else 8) for mp in multipartitions_of(n, ell)]
+        for mp in shapes:
+            assert _down_steps(mp) == down_steps_by_remove(mp), mp
+        for e in range(2, 9):
+            for ch in charges(e, ell, pinned=False):
+                for mp in shapes:
+                    got = list(_step_degrees(mp, ch).items())
+                    assert got == list(step_degrees_by_helpers(mp, ch).items()), (mp, ch)
+                    pairs += 1
+    assert pairs == 95032
 
 
 def test_reverse_column_reading_known():

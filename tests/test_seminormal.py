@@ -11,6 +11,7 @@ from calihecke.calibration import enumerate_cali
 from calihecke.cyclotomics import Cyc
 from calihecke.multipartitions import Charge, partitions_of
 from calihecke.seminormal import (
+    _class_edges,
     _form_ratio,
     _invariance_verdict,
     _is_galois_image,
@@ -34,12 +35,14 @@ from calihecke.seminormal import (
 )
 from calihecke.sweeps import SUITES, seminormal_modules
 from calihecke.unitary_loci import column_reading_weight
+from conftest import clear_package_caches
 import oracles
 from oracles import (
     admissible_transposition_reduced,
     class_form_signs_per_edge,
     column_hecke_relations,
     dense_form_invariance,
+    propagate_all_edges,
 )
 
 # the criterion 4-6 range and floors
@@ -231,6 +234,54 @@ def test_class_form_signs_match_the_oracle_on_inconsistent_cycles(monkeypatch):
         assert got == _signs_or_error(class_form_signs_per_edge, cls, e, a), (cls, e, a)
         raised += got == "ValueError: inconsistent sign propagation around a cycle"
     assert raised > 0
+
+
+_VALUES_DISAGREE = "inconsistent form values around a cycle"
+
+
+def _all_edge_values(cls, e, a):
+    """The form values of the class, multiplied along every edge."""
+    return propagate_all_edges(_class_edges(tuple(cls), e), Cyc.one(e),
+                               lambda d: seminormal._form_ratio(e, a, d), _VALUES_DISAGREE)
+
+
+def test_tree_propagation_matches_the_all_edge_walk():
+    # form values and signs on every gate module, against the walk that
+    # multiplies along every directed edge
+    checked = 0
+    for mod in seminormal_modules(*GATE_ARGS):
+        cls, e, a = mod.cls, mod.e, mod.a
+        assert form_values(mod) == _all_edge_values(cls, e, a), (cls, e, a)
+        ordered = tuple(sorted(cls))
+        signs = propagate_all_edges(_class_edges(ordered, e), 1,
+                                    lambda d: 1 if oracles.re_compare(a, a * d, e) > 0 else -1,
+                                    "inconsistent sign propagation around a cycle")
+        assert class_form_signs(cls, e, a) == dict(zip(ordered, signs)), (cls, e, a)
+        checked += 1
+    assert checked == GATE_FLOORS["hecke_relations"] == 1358
+
+
+def test_a_ratio_that_is_not_reciprocal_fails_both_routes(monkeypatch):
+    # ratio(d) * ratio(-d) = 2 for 0 < d < e/2: every class with an edge of
+    # such a difference must raise on the tree walk as on the all-edge walk
+    real = seminormal._form_ratio
+
+    def skewed(e, a, d):
+        return real(e, a, d) * 2 if 2 * d < e else real(e, a, d)
+
+    monkeypatch.setattr(seminormal, "_form_ratio", skewed)
+    clear_package_caches()
+    outcomes = {}
+    try:
+        for mod in seminormal_modules(*GATE_ARGS):
+            args = mod.cls, mod.e, mod.a
+            got = _signs_or_error(lambda *_: form_values(mod), *args)
+            assert got == _signs_or_error(_all_edge_values, *args), args
+            kind = got if isinstance(got, str) else "values"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    finally:
+        clear_package_caches()
+    assert outcomes.get("ValueError: " + _VALUES_DISAGREE, 0) > 0 and outcomes.get("values", 0) > 0
 
 
 def test_class_form_signs_compare_once_per_difference(monkeypatch):
