@@ -141,6 +141,7 @@ def block(la, ch, hbar):
 
 
 def block_poset(la, ch, hbar, cross_validate=False):
+    hbar = tuple(hbar)
     poset = block(la, ch, hbar)
     if cross_validate:
         expected = dominance_block(la, ch, hbar)
@@ -268,6 +269,7 @@ def graded_specht_character(mu, ch):
 
 
 def euler_check(la, ch, hbar):
+    hbar = tuple(hbar)
     poset = block(la, ch, hbar)
     lhs = sum((-1) ** poset.lengths[mu] * count_standard_tableaux(mu) for mu in poset.nodes)
     rhs = _path_fold(ch, hbar)(la)
@@ -278,6 +280,7 @@ def graded_character_identity(la, ch, hbar):
     """Test sum over mu of (-1)^len t^(c*len) grchar(mu) = |Path^F| t^0 for
     the shift conventions c = 1 and c = 2; report which hold.  One pass
     over the nodes folds both sums."""
+    hbar = tuple(hbar)
     poset = block(la, ch, hbar)
     rhs = _path_fold(ch, hbar)(la)
     char = _graded_fold(ch)
@@ -305,6 +308,7 @@ class KLRModule:
     def __init__(self, la, ch, hbar):
         if ch.e <= 2:
             raise ValueError("quiver Hecke relations require e > 2")
+        hbar = tuple(hbar)
         self.la, self.ch, self.hbar = la, ch, hbar
         windows = _windows(ch, hbar)
         if not _inside(_fits(la, hbar), hbar, windows):

@@ -23,6 +23,12 @@ checked once.  The relations come from one table per (n, e, a).  Form
 invariance is checked as an isometry, M^dagger G M = G for every T_i and
 X_k, so no inverse operator is built.
 
+A module builds its X_k and T_i on first read, and the checks read them
+only to walk a module that is not its construction: an operator list that
+nobody has read is the construction, so is_construction compares only the
+lists that were read or assigned.  The constructor makes every lookup that
+building them would fail at, so it rejects what the build rejects.
+
 Both checks first ask whether the module is exactly its construction
 (is_construction).  If it is, the rows that hold for any entry values
 (the commutation relations, and the invariance of X_k) are read off that
@@ -42,7 +48,7 @@ assumed.  Every row, and T_i invariance, of a module that is not its
 construction walks the module.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .cyclotomics import Cyc, _new, re_compare
@@ -107,6 +113,9 @@ class SeminormalModule:
 
     Operators are stored as column maps: op[j] is a list of (i, coeff)
     meaning the basis vector w_{class[j]} maps to sum coeff * w_{class[i]}.
+    X and T are built on first read (_x_op, _t_op) and then kept in the
+    instance dict, where a change to them, or an assignment, stays for
+    is_construction to see.
     """
 
     def __init__(self, cls, e, a=1):
@@ -121,9 +130,27 @@ class SeminormalModule:
         self.a = a
         self.n = len(cls[0])
         self.q = Cyc.zeta_power(e, a)
-        self.X = [_x_op(self.cls, e, a, k) for k in range(self.n)]
-        edges = _class_edges(tuple(self.cls), e)
-        self.T = [_t_op(edges, e, a, i) for i in range(self.n - 1)]
+        # X and T are built on first read; here every lookup that building
+        # them would fail at is made, in the same order: an entry that is no
+        # index into the power table or a weight shorter than the first (X),
+        # a class that is not closed (KeyError in _class_edges) and a pole of
+        # _t_entries (ZeroDivisionError)
+        power = _zeta_powers(e, a)
+        for k in range(self.n):
+            for wt in self.cls:
+                power[wt[k] % e]
+        for out in _class_edges(tuple(self.cls), e):
+            for i in range(self.n - 1):
+                _t_entries(e, a, out[i][1])
+
+    @cached_property
+    def X(self):
+        return [_x_op(self.cls, self.e, self.a, k) for k in range(self.n)]
+
+    @cached_property
+    def T(self):
+        edges = _class_edges(tuple(self.cls), self.e)
+        return [_t_op(edges, self.e, self.a, i) for i in range(self.n - 1)]
 
     def dim(self):
         return len(self.cls)
@@ -151,19 +178,25 @@ def _t_op(edges, e, a, i):
 
 def is_construction(mod):
     """Is mod exactly its construction: is every stored X_k and T_i the
-    column map that _x_op and _t_op build on mod.cls?  This takes table
-    lookups and O(dim * n) comparisons of entries already built, one
-    operator at a time, with no arithmetic; the entries the construction
-    shares compare by identity.  A module whose entries changed after it
-    was built fails."""
-    e, a, cls = mod.e, mod.a, mod.cls
-    for k in range(mod.n):
-        if mod.X[k] != _x_op(cls, e, a, k):
-            return False
-    edges = _class_edges(tuple(cls), e)
-    for i in range(mod.n - 1):
-        if mod.T[i] != _t_op(edges, e, a, i):
-            return False
+    column map that _x_op and _t_op build on mod.cls?  A list that was
+    never read is not stored (it is not in vars(mod)): it is built by the
+    construction when read, so it is the construction, and nothing is built
+    or compared for it; a module none of whose operators was read takes no
+    work at all.  A list that was read, or assigned, is compared with what
+    the construction builds, one operator at a time, with no arithmetic;
+    the entries the construction shares compare by identity.  A module
+    whose entries changed after they were read, or that was given other
+    lists, fails."""
+    e, a, cls, stored = mod.e, mod.a, mod.cls, vars(mod)
+    if "X" in stored:
+        for k in range(mod.n):
+            if mod.X[k] != _x_op(cls, e, a, k):
+                return False
+    if "T" in stored:
+        edges = _class_edges(tuple(cls), e)
+        for i in range(mod.n - 1):
+            if mod.T[i] != _t_op(edges, e, a, i):
+                return False
     return True
 
 
@@ -322,7 +355,7 @@ def verify_hecke_relations(mod):
       and T_i T_j and T_j T_i expand into the same four terms.
     quadratic_i and txt_i read the window (m_i, m_{i+1}) of each weight,
     and braid_i the window (m_i, m_{i+1}, m_{i+2}); each window is checked
-    by _window_verdict, memoised across modules and shared across the
+    by _windows_hold, memoised across modules and shared across the
     coprime a whose construction is the sigma_a-image of the one at a = 1
     (the relation table's scalars q and q - 1 are then the images of zeta
     and zeta - 1 too).  This reads the module exactly:
@@ -341,14 +374,17 @@ def verify_hecke_relations(mod):
     So a row holds iff it holds on the construction over the closure of
     every window that occurs, shifted so that its last entry is 0.
 
-    Every row of a module that is not its construction walks the module,
-    one orbit of the row's operators at a time (_row_holds)."""
-    ops, e, a, dim = mod.T + mod.X, mod.e, mod.a, mod.dim()
+    Only a module that is not its construction reads mod.T and mod.X:
+    every row walks the module, one orbit of the row's operators at a time
+    (_row_holds)."""
+    e, a = mod.e, mod.a
     built = is_construction(mod)
     if built:
         # per i, the difference d = (m_i - m_{i+1}) mod e at every weight
         ds = [[d for _, d in col] for col in zip(*_class_edges(tuple(mod.cls), e))]
         pairs = [{(d, 0) for d in col} for col in ds]
+    else:
+        ops, dim = mod.T + mod.X, mod.dim()
     report = {}
     for name, slots, shape in _relation_table(mod.n, e, a):
         if not built:
@@ -359,7 +395,7 @@ def verify_hecke_relations(mod):
             kind, i = name.split("_")[0], slots[0]
             windows = pairs[i] if kind != "braid" else {
                 ((x + y) % e, y, 0) for x, y in set(zip(ds[i], ds[i + 1]))}
-            report[name] = all(_window_verdict(e, a, kind, w) for w in windows)
+            report[name] = _windows_hold(e, a, kind, windows)
     return report
 
 
@@ -371,28 +407,30 @@ def _row_holds(row, shape, e, dim):
                for orbit, pos in _orbits(row, dim))
 
 
-def _window_verdict(e, a, kind, window):
+def _windows_hold(e, a, kind, windows):
     """Does the row kind_1 (quadratic, txt or braid), or the T_1
     invariance (kind "invariance"), hold on the construction at (e, a)
-    over the closure of window, a tuple of 2 or 3 residues ending in 0?
-    When the construction at (e, a) is the sigma_a-image of the one at
-    (e, 1) (_is_galois_image), this is the verdict at (e, 1): sigma_a is a
-    field automorphism that commutes with complex conjugation, so it maps
-    each side of a relation, and M^dagger G M, at a = 1 onto the one at a,
-    and an equality holds at a iff it holds at 1."""
+    over the closure of every window in windows, each a tuple of 2 or 3
+    residues ending in 0?  When the construction at (e, a) is the
+    sigma_a-image of the one at (e, 1) (_is_galois_image), these are the
+    verdicts at (e, 1): sigma_a is a field automorphism that commutes with
+    complex conjugation, so it maps each side of a relation, and
+    M^dagger G M, at a = 1 onto the one at a, and an equality holds at a
+    iff it holds at 1."""
     if a != 1 and _is_galois_image(e, a):
         a = 1
-    return _window_check(e, a, kind, window)
+    return all(_window_check(e, a, kind, w) for w in windows)
 
 
 @lru_cache(maxsize=None)
 def _window_check(e, a, kind, window):
-    """_window_verdict at (e, a) itself.  The closure is one orbit of the
-    row's operators, and every window of the orbit, shifted to end in 0,
-    gives the same verdict (see verify_hecke_relations), so each window
-    defers to the least of them.  The invariance window is checked with
-    the construction's form values, 1 at the first weight.  The key holds
-    no entry value: a change of _t_entries needs cache_clear."""
+    """_windows_hold at (e, a) itself, on one window.  The closure is one
+    orbit of the row's operators, and every window of the orbit, shifted
+    to end in 0, gives the same verdict (see verify_hecke_relations), so
+    each window defers to the least of them.  The invariance window is
+    checked with the construction's form values, 1 at the first weight.
+    The key holds no entry value: a change of _t_entries needs
+    cache_clear."""
     cls = _closure(window, e)
     least = min(tuple((x - w[-1]) % e for x in w) for w in cls)
     if window != least:
@@ -449,7 +487,7 @@ def _class_edges(cls, e):
 
 def _edges(cls, e):
     """_class_edges without the cache, for the local classes of
-    _window_verdict, which would evict a module's class."""
+    _window_check, which would evict a module's class."""
     index = {b: j for j, b in enumerate(cls)}
     edges = []
     for wt in cls:
@@ -603,22 +641,24 @@ def verify_form_invariance(mod):
     (m_i - m_{i+1}) mod e at j, and G on it is g_j times the form
     (1, ratio) of the construction over the closure of the window (d, 0).
     M^dagger (c G) M = c G iff M^dagger G M = G for c != 0, so T_i is an
-    isometry iff it is one on each such window: the AND of
-    _window_verdict(e, a, "invariance", (d, 0)) over the d that occur,
-    memoised and shared across coprime a as the relation windows are.
+    isometry iff it is one on each such window: _windows_hold(e, a,
+    "invariance", ...) over the windows (d, 0) that occur, memoised and
+    shared across coprime a as the relation windows are.
     Any other module walks T_i, so a changed form value fails on G."""
     e, a = mod.e, mod.a
     values = form_values(mod)
-    G = [[(j, g)] for j, g in enumerate(values)]  # as a diagonal column map
     built = is_construction(mod)
     cls = tuple(mod.cls)
     by_window = built and tuple(values) == _class_form(cls, e, a)
-    edges = _class_edges(cls, e)
+    if by_window:
+        edges = _class_edges(cls, e)
+    else:
+        G = [[(j, g)] for j, g in enumerate(values)]  # as a diagonal column map
     report = {}
     for i in range(1, mod.n):
         if by_window:
-            report[f"T_{i}"] = all(_window_verdict(e, a, "invariance", (d, 0))
-                                   for d in {out[i - 1][1] for out in edges})
+            windows = {(out[i - 1][1], 0) for out in edges}
+            report[f"T_{i}"] = _windows_hold(e, a, "invariance", windows)
         else:
             report[f"T_{i}"] = _isometry(mod.T[i - 1], G, e)
     for k in range(1, mod.n + 1):

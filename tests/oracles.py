@@ -33,6 +33,8 @@ elimination over GF(2) on one int row per diamond.
 multipartition of |la| and drops those too tall for the frame afterwards.
 ``admissible_transposition_reduced`` is the original admissibility test,
 which reduces the whole weight mod e before comparing two of its entries.
+``EagerSeminormalModule`` is the original seminormal module, which builds
+every X_k and T_i in its constructor.
 ``class_form_signs_per_edge`` is the original form-sign propagation, which
 builds its own adjacency of the class with the reduced admissibility test,
 walks it, and calls ``re_compare`` once per edge.
@@ -52,6 +54,7 @@ boxes counted.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from calihecke.alcoves import _path_fold, coord_index, embed, rho
 from calihecke.bgg import diamonds_and_strands
@@ -74,7 +77,7 @@ from calihecke.multipartitions import (
     tableau_boxes_by_entry,
     tableau_degree,
 )
-from calihecke.seminormal import form_values
+from calihecke.seminormal import _class_edges, _t_op, _x_op, form_values
 
 
 def _polydivmod(num, den):
@@ -639,6 +642,32 @@ def admissible_transposition_reduced(m, i, e):
     up = (m[i - 1] + 1) % e if e else m[i - 1] + 1
     down = (m[i - 1] - 1) % e if e else m[i - 1] - 1
     return m[i] != up and m[i] != down
+
+
+class EagerSeminormalModule:
+    """SeminormalModule with X and T built in the constructor, by the same
+    _x_op and _t_op calls that build them on first read.  X is built
+    before the edge list and T after it, so the constructor rejects what
+    those builds reject, in that order."""
+
+    def __init__(self, cls, e, a=1):
+        if gcd(a, e) != 1:
+            raise ValueError("need gcd(a, e) = 1")
+        if not cls:
+            raise ValueError("empty weight class")
+        self.cls = list(cls)
+        if len(set(self.cls)) != len(self.cls):
+            raise ValueError("a weight repeats in the weight class")
+        self.e = e
+        self.a = a
+        self.n = len(cls[0])
+        self.q = Cyc.zeta_power(e, a)
+        self.X = [_x_op(self.cls, e, a, k) for k in range(self.n)]
+        edges = _class_edges(tuple(self.cls), e)
+        self.T = [_t_op(edges, e, a, i) for i in range(self.n - 1)]
+
+    def dim(self):
+        return len(self.cls)
 
 
 def class_form_signs_per_edge(cls, e, a=1):

@@ -233,6 +233,23 @@ def test_klr_module_basics():
     assert all(report.values()), report
 
 
+def test_entry_points_take_hbar_as_a_list():
+    # the memoised folds and the block are keyed by a tuple; a list hbar,
+    # which alcoves accepts, must reach them as one
+    la, ch = ((3, 1), (2,)), Charge((0, 3), 6)
+
+    def results(hbar):
+        mod = build_klr_module(la, ch, hbar)
+        return (in_fundamental_alcove(la, ch, hbar), count_fundamental_paths(la, ch, hbar),
+                mod.dim(), euler_check(la, ch, hbar), graded_character_identity(la, ch, hbar),
+                block_poset(la, ch, hbar, cross_validate=True).nodes, verify_klr_relations(mod))
+
+    listed = results([2, 1])
+    assert listed == results((2, 1))
+    assert listed[1] == listed[2] == listed[3]["fundamental_paths"] == 22
+    assert listed[0] and listed[3]["ok"] and all(listed[-1].values())
+
+
 def test_klr_basis_tests_each_prefix_shape_once(monkeypatch):
     la, ch, hbar = ((3, 1), (2,)), Charge((0, 3), 6), (2, 1)
     tested = _count_alcove_tests(monkeypatch)

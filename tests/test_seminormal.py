@@ -38,6 +38,7 @@ from calihecke.unitary_loci import column_reading_weight
 from conftest import clear_package_caches
 import oracles
 from oracles import (
+    EagerSeminormalModule,
     admissible_transposition_reduced,
     class_form_signs_per_edge,
     column_hecke_relations,
@@ -99,6 +100,106 @@ def test_module_and_signs_reject_an_a_that_shares_a_factor_with_e():
     assert rejected == 683
     with pytest.raises(ValueError, match=r"need gcd\(a, e\) = 1"):
         seminormal_module(weight_class((0, 2), 4), 4, 2)
+
+
+def _rejection(build, cls, e, a=1):
+    """The exception type that build(cls, e, a) raises, or None."""
+    try:
+        build(cls, e, a)
+    except Exception as ex:  # the type is the verdict
+        return type(ex)
+    return None
+
+
+@pytest.mark.parametrize("cls, e, error", [
+    ([(0, 0)], 3, ZeroDivisionError),  # T_1's diagonal has a pole at d = 0
+    ([(1, 1, 0)], 5, ZeroDivisionError),
+    ([(0, 2)], 4, KeyError),  # s_1 (0, 2) = (2, 0) is admissible but missing
+])
+def test_module_rejects_what_building_its_operators_rejects(cls, e, error):
+    for build in (seminormal_module, EagerSeminormalModule):
+        with pytest.raises(error):
+            build(cls, e)
+
+
+def test_constructor_rejects_as_the_eager_build_on_random_classes():
+    # lists of random weights, some of unequal lengths or out of range, and
+    # some closed classes: the operators are built on first read, and the
+    # constructor still raises what the eager build raised, in its order
+    rng = random.Random(25)
+    outcomes = {}
+    for _ in range(3000):
+        e = rng.randrange(2, 8)
+        a = rng.choice([a for a in range(1, e) if gcd(a, e) == 1])
+        n = rng.randrange(1, 5)
+        lengths = [n] * 4 if rng.random() < 0.7 else [rng.randrange(0, 5) for _ in range(4)]
+        lengths = lengths[:rng.randrange(1, 5)]
+        cls = [tuple(rng.randrange(-2, e + 2) for _ in range(k)) for k in lengths]
+        if rng.random() < 0.3 and is_calibrated_weight(cls[0], e):
+            cls = weight_class(cls[0], e)
+        got = _rejection(seminormal_module, cls, e, a)
+        assert got == _rejection(EagerSeminormalModule, cls, e, a), (cls, e, a)
+        outcomes[got] = outcomes.get(got, 0) + 1
+    assert set(outcomes) == {None, ValueError, KeyError, ZeroDivisionError, IndexError}
+    # entries that are no index into the power table, at e = 0 and e < 0
+    for cls, e in (([(0.5,)], 3), ([("0",)], 3), ([(0,)], 0), ([(0,)], -3)):
+        assert _rejection(seminormal_module, cls, e) == _rejection(EagerSeminormalModule, cls, e)
+
+
+def test_unread_operators_are_never_built():
+    # the checks, the form signs and dim read the class, never X or T; an
+    # unread operator list is the construction, so is_construction builds
+    # nothing for it
+    for m, e, a in [((0,), 3, 2), ((0, 2), 4, 1), ((0, 1, 3), 5, 1), ((0, 1, 4), 5, 2),
+                    ((0, 2, 1, 3), 4, 1), ((0, 1, 3, 4), 6, 5)]:
+        mod = seminormal_module(weight_class(m, e), e, a)
+        assert mod.dim() == len(weight_class(m, e))
+        assert all(verify_hecke_relations(mod).values()), m
+        assert all(verify_form_invariance(mod).values()), m
+        class_form_signs(mod.cls, e, a)
+        form_signs(mod)
+        assert is_construction(mod)
+        assert "T" not in vars(mod) and "X" not in vars(mod), m
+
+
+def test_an_operator_assigned_unread_is_compared():
+    # T (or X) assigned a corrupted copy without being read first: the
+    # assigned list is the module's, so it fails is_construction, and both
+    # checks walk it as the oracles do
+    cls = weight_class((0, 1, 3, 4), 6)
+    built = EagerSeminormalModule(cls, 6)
+    mutants = 0
+    for name in ("T", "X"):
+        for k, op in enumerate(getattr(built, name)):
+            copy = [[list(col) for col in ops] for ops in getattr(built, name)]
+            j, c = op[0][0]
+            copy[k][0][0] = (j, c + 1)
+            mod = seminormal_module(cls, 6)
+            setattr(mod, name, copy)
+            assert name in vars(mod) and ("X" if name == "T" else "T") not in vars(mod)
+            assert not is_construction(mod), (name, k)
+            report = verify_hecke_relations(mod)
+            assert list(report.items()) == list(column_hecke_relations(mod).items()), (name, k)
+            invariance = verify_form_invariance(mod)
+            assert invariance == dense_form_invariance(mod), (name, k)
+            assert not all(report.values()), (name, k)
+            mutants += 1
+    assert mutants == 3 + 4
+
+
+def test_operators_read_on_first_use_equal_the_eager_build():
+    # every gate module: T and X, read lazily, are the lists the eager
+    # constructor builds, and the module is still its construction once
+    # they are in its dict; so is the eager module, whose lists are
+    checked = 0
+    for mod in seminormal_modules(*GATE_ARGS):
+        eager = EagerSeminormalModule(mod.cls, mod.e, mod.a)
+        assert not {"T", "X"} & set(vars(mod))
+        assert mod.T == eager.T and mod.X == eager.X, (mod.cls[0], mod.e, mod.a)
+        assert {"T", "X"} <= set(vars(mod))
+        assert is_construction(mod) and is_construction(eager), (mod.cls[0], mod.e, mod.a)
+        checked += 1
+    assert checked == GATE_FLOORS["hecke_relations"] == 1358
 
 
 def test_weight_class_generic_staircase_is_singleton():
