@@ -162,6 +162,7 @@ def cmd_seminormal(args):
         m = column_reading_weight(la, args.e)
     if gcd(args.a, args.e) != 1:
         _die_usage("BAD_PARAMETERS", "need gcd(a, e) = 1")
+    ch = _parse_charge(args, args.a, required=False)
     from .seminormal import (
         class_form_signs,
         cyclotomic_membership,
@@ -191,7 +192,6 @@ def cmd_seminormal(args):
         "relations_pass": all(relations.values()),
         "invariance_pass": all(invariance.values()),
     }
-    ch = _parse_charge(args, args.a, required=False)
     if ch is not None:
         report["cyclotomic_member"] = cyclotomic_membership(mod, ch)
     _emit(report, args.format)

@@ -32,9 +32,13 @@ elimination over GF(2) on one int row per diamond.
 ``dominance_block_full`` is the original dominance block, which tests every
 multipartition of |la| and drops those too tall for the frame afterwards.
 ``admissible_transposition_reduced`` is the original admissibility test,
-which reduces the whole weight mod e before comparing two of its entries.
+which reduces the whole weight mod e before comparing two of its entries,
+and ``weight_class_by_search`` the original weight class, a search with it.
 ``EagerSeminormalModule`` is the original seminormal module, which builds
-every X_k and T_i in its constructor.
+every X_k and T_i in its constructor as lists that a test may change, and
+``walked_hecke_relations`` and ``walked_form_invariance`` are the original
+checks of such a module, which walk its own column maps one orbit at a
+time, through the verdict memos the windows of ``seminormal`` use.
 ``class_form_signs_per_edge`` is the original form-sign propagation, which
 builds its own adjacency of the class with the reduced admissibility test,
 walks it, and calls ``re_compare`` once per edge.
@@ -77,7 +81,15 @@ from calihecke.multipartitions import (
     tableau_boxes_by_entry,
     tableau_degree,
 )
-from calihecke.seminormal import _class_edges, _t_op, _x_op, form_values
+from calihecke.seminormal import (
+    _class_edges,
+    _isometry,
+    _relation_table,
+    _row_holds,
+    _t_op,
+    _x_op,
+    form_values,
+)
 
 
 def _polydivmod(num, den):
@@ -644,11 +656,28 @@ def admissible_transposition_reduced(m, i, e):
     return m[i] != up and m[i] != down
 
 
+def weight_class_by_search(m, e):
+    """The weights that m, reduced mod e when e > 0, reaches by the s_i
+    that admissible_transposition_reduced admits and that swap two
+    different entries, by a breadth-first search, sorted."""
+    start = tuple(x % e for x in m) if e else tuple(m)
+    seen, queue = {start}, [start]
+    for wt in queue:
+        for i in range(1, len(wt)):
+            if wt[i - 1] != wt[i] and admissible_transposition_reduced(wt, i, e):
+                swapped = wt[:i - 1] + (wt[i], wt[i - 1]) + wt[i + 1:]
+                if swapped not in seen:
+                    seen.add(swapped)
+                    queue.append(swapped)
+    return sorted(seen)
+
+
 class EagerSeminormalModule:
     """SeminormalModule with X and T built in the constructor, by the same
-    _x_op and _t_op calls that build them on first read.  X is built
-    before the edge list and T after it, so the constructor rejects what
-    those builds reject, in that order."""
+    _x_op and _t_op calls that build them on first read, and kept as lists
+    of lists that a test may change.  X is built before the edge list and
+    T after it, so the constructor rejects what those builds reject, in
+    that order."""
 
     def __init__(self, cls, e, a=1):
         if gcd(a, e) != 1:
@@ -662,12 +691,36 @@ class EagerSeminormalModule:
         self.a = a
         self.n = len(cls[0])
         self.q = Cyc.zeta_power(e, a)
-        self.X = [_x_op(self.cls, e, a, k) for k in range(self.n)]
+        self.X = column_lists(_x_op(self.cls, e, a, k) for k in range(self.n))
         edges = _class_edges(tuple(self.cls), e)
-        self.T = [_t_op(edges, e, a, i) for i in range(self.n - 1)]
+        self.T = column_lists(_t_op(edges, e, a, i) for i in range(self.n - 1))
 
     def dim(self):
         return len(self.cls)
+
+
+def column_lists(ops):
+    """Operators (column maps) as lists of lists of (i, coeff)."""
+    return [[list(col) for col in op] for op in ops]
+
+
+def walked_hecke_relations(mod):
+    """The defining relations on the module's own column maps, each row of
+    seminormal._relation_table walked one orbit of its operators at a
+    time (seminormal._row_holds)."""
+    ops, dim = list(mod.T) + list(mod.X), mod.dim()
+    return {name: _row_holds([ops[k] for k in slots], shape, mod.e, dim)
+            for name, slots, shape in _relation_table(mod.n, mod.e, mod.a)}
+
+
+def walked_form_invariance(mod):
+    """Every T_i and X_k of the module an isometry of the diagonal form
+    G = form_values(mod), one orbit of the operator at a time
+    (seminormal._isometry)."""
+    G = [[(j, g)] for j, g in enumerate(form_values(mod))]
+    report = {f"T_{i}": _isometry(mod.T[i - 1], G, mod.e) for i in range(1, mod.n)}
+    report.update((f"X_{k}", _isometry(mod.X[k - 1], G, mod.e)) for k in range(1, mod.n + 1))
+    return report
 
 
 def class_form_signs_per_edge(cls, e, a=1):

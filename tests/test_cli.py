@@ -506,3 +506,25 @@ def test_malformed_command_loads_no_layer(argv):
     # verify reads its suite names from the sweep table before it rejects one
     table = {"sweeps"} if argv[0] == "verify" else set()
     assert _loaded(argv) == (2, {"cli", "multipartitions"} | table)
+
+
+@pytest.mark.parametrize("source", [["--partition", "6,5,3"], ["--weight", "0,2"]])
+def test_malformed_charge_builds_no_module(source):
+    # the charge is parsed before the module is built, so a malformed one
+    # exits at once, at dimension 15015 as at 2, with no exact arithmetic
+    code, loaded = _loaded(["seminormal", "--e", "16", *source, "--charge", "0,x"])
+    assert code == 2 and not loaded & {"seminormal", "cyclotomics"}, loaded
+
+
+def test_seminormal_checks_its_input_in_order(capsys):
+    # each input that fails one check keeps its error; the gcd check comes
+    # before the charge
+    for extra, error in ((["--charge", "0,x"], "BAD_CHARGE"),
+                         (["--charge", "1,0"], "CHARGE_NOT_CYLINDRICAL"),
+                         (["--a", "2", "--charge", "0,x"], "BAD_PARAMETERS"),
+                         (["--weight", "0,0", "--charge", "0,2"], "NOT_CALIBRATED")):
+        weight = [] if "--weight" in extra else ["--weight", "0,2"]
+        code, _, err = run(capsys, "seminormal", "--e", "4", *weight, *extra)
+        assert code == 2 and json.loads(err)["error"] == error, extra
+    code, out, _ = run(capsys, "seminormal", "--e", "4", "--weight", "0,2", "--charge", "0,2")
+    assert code == 0 and json.loads(out)["cyclotomic_member"] is True

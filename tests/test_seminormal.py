@@ -11,12 +11,14 @@ from calihecke.calibration import enumerate_cali
 from calihecke.cyclotomics import Cyc
 from calihecke.multipartitions import Charge, partitions_of
 from calihecke.seminormal import (
+    SeminormalModule,
     _class_edges,
     _form_ratio,
     _invariance_verdict,
     _is_galois_image,
     _relation_verdict,
     _t_entries,
+    _walk,
     _window_check,
     _zeta_powers,
     admissible_transposition,
@@ -26,7 +28,6 @@ from calihecke.seminormal import (
     form_signs,
     form_values,
     is_calibrated_weight,
-    is_construction,
     is_unitary_class,
     seminormal_module,
     verify_form_invariance,
@@ -42,8 +43,12 @@ from oracles import (
     admissible_transposition_reduced,
     class_form_signs_per_edge,
     column_hecke_relations,
+    column_lists,
     dense_form_invariance,
     propagate_all_edges,
+    walked_form_invariance,
+    walked_hecke_relations,
+    weight_class_by_search,
 )
 
 # the criterion 4-6 range and floors
@@ -146,60 +151,91 @@ def test_constructor_rejects_as_the_eager_build_on_random_classes():
         assert _rejection(seminormal_module, cls, e) == _rejection(EagerSeminormalModule, cls, e)
 
 
-def test_unread_operators_are_never_built():
-    # the checks, the form signs and dim read the class, never X or T; an
-    # unread operator list is the construction, so is_construction builds
-    # nothing for it
-    for m, e, a in [((0,), 3, 2), ((0, 2), 4, 1), ((0, 1, 3), 5, 1), ((0, 1, 4), 5, 2),
-                    ((0, 2, 1, 3), 4, 1), ((0, 1, 3, 4), 6, 5)]:
-        mod = seminormal_module(weight_class(m, e), e, a)
-        assert mod.dim() == len(weight_class(m, e))
+def test_unread_operators_are_never_built(monkeypatch):
+    # dim and both checks read the class, never X or T, and T_i invariance
+    # is read off windows of at most two weights: no form value of the
+    # class is built, by form_values or by any walk over its edge list
+    reads, walks = [], []
+    for name in ("X", "T"):
+        built = getattr(SeminormalModule, name)
+        monkeypatch.setattr(SeminormalModule, name, property(
+            lambda mod, built=built, name=name: reads.append(name) or built.__get__(mod)))
+    values, propagate = seminormal.form_values, seminormal._propagate
+    monkeypatch.setattr(seminormal, "form_values",
+                        lambda mod: walks.append("form_values") or values(mod))
+    monkeypatch.setattr(seminormal, "_propagate",
+                        lambda edges, *rest: walks.append(len(edges)) or propagate(edges, *rest))
+    for m, e, a in [((0, 2, 1, 3), 4, 1), ((0, 1, 3, 4), 6, 5), ((0, 2, 4, 1, 3), 6, 1),
+                    ((0, 2, 4, 1, 3), 7, 3)]:
+        cls = weight_class(m, e)
+        assert len(cls) > 2, m
+        walks.clear()
+        mod = seminormal_module(cls, e, a)
+        assert mod.dim() == len(cls)
         assert all(verify_hecke_relations(mod).values()), m
         assert all(verify_form_invariance(mod).values()), m
+        assert reads == [] and "form_values" not in walks and max(walks, default=0) <= 2, m
         class_form_signs(mod.cls, e, a)
         form_signs(mod)
-        assert is_construction(mod)
-        assert "T" not in vars(mod) and "X" not in vars(mod), m
+        assert reads == [] and len(cls) in walks, m
 
 
-def test_an_operator_assigned_unread_is_compared():
-    # T (or X) assigned a corrupted copy without being read first: the
-    # assigned list is the module's, so it fails is_construction, and both
-    # checks walk it as the oracles do
-    cls = weight_class((0, 1, 3, 4), 6)
-    built = EagerSeminormalModule(cls, 6)
-    mutants = 0
+def test_operators_are_read_only():
+    # X and T are tuples built on first read, with no setter: a module is
+    # its construction, so neither can be assigned or deleted, and no
+    # operator, column or entry can be changed
+    mod = seminormal_module(weight_class((0, 1, 3, 4), 6), 6)
     for name in ("T", "X"):
-        for k, op in enumerate(getattr(built, name)):
-            copy = [[list(col) for col in ops] for ops in getattr(built, name)]
-            j, c = op[0][0]
-            copy[k][0][0] = (j, c + 1)
-            mod = seminormal_module(cls, 6)
-            setattr(mod, name, copy)
-            assert name in vars(mod) and ("X" if name == "T" else "T") not in vars(mod)
-            assert not is_construction(mod), (name, k)
-            report = verify_hecke_relations(mod)
-            assert list(report.items()) == list(column_hecke_relations(mod).items()), (name, k)
-            invariance = verify_form_invariance(mod)
-            assert invariance == dense_form_invariance(mod), (name, k)
-            assert not all(report.values()), (name, k)
-            mutants += 1
-    assert mutants == 3 + 4
+        ops = getattr(mod, name)
+        with pytest.raises(AttributeError):
+            setattr(mod, name, list(ops))
+        with pytest.raises(AttributeError):
+            delattr(mod, name)
+        with pytest.raises(TypeError):
+            ops[0] = ops[0]
+        with pytest.raises(TypeError):
+            ops[0][0] = ops[0][0]
+        with pytest.raises(TypeError):
+            ops[0][0][0] = (0, Cyc.one(6))
+        with pytest.raises(AttributeError):
+            ops[0][0].append((0, Cyc.one(6)))
+        assert getattr(mod, name) is ops, name
 
 
 def test_operators_read_on_first_use_equal_the_eager_build():
-    # every gate module: T and X, read lazily, are the lists the eager
-    # constructor builds, and the module is still its construction once
-    # they are in its dict; so is the eager module, whose lists are
+    # every gate module: T and X, read lazily, are the operators that the
+    # eager constructor builds, and a second read returns the same tuples
     checked = 0
     for mod in seminormal_modules(*GATE_ARGS):
         eager = EagerSeminormalModule(mod.cls, mod.e, mod.a)
-        assert not {"T", "X"} & set(vars(mod))
-        assert mod.T == eager.T and mod.X == eager.X, (mod.cls[0], mod.e, mod.a)
-        assert {"T", "X"} <= set(vars(mod))
-        assert is_construction(mod) and is_construction(eager), (mod.cls[0], mod.e, mod.a)
+        assert column_lists(mod.T) == eager.T and column_lists(mod.X) == eager.X, \
+            (mod.cls[0], mod.e, mod.a)
+        assert mod.T is mod.T and mod.X is mod.X
         checked += 1
     assert checked == GATE_FLOORS["hecke_relations"] == 1358
+
+
+def test_one_walk_gives_the_class_and_its_edge_list():
+    # the walk that finds a class lists its edges too: from every weight of
+    # every class of the gate range, the class is the search oracle's and
+    # the edge list is the one built from the sorted class, and after
+    # weight_class the module's edge list is read from the cache
+    checked = 0
+    for e in GATE_ARGS[0]:
+        for n in GATE_ARGS[1]:
+            for cls in enumerate_calibrated_classes(n, e):
+                built = _class_edges.__wrapped__(tuple(cls), e)
+                for m in cls:
+                    assert weight_class(m, e) == weight_class_by_search(m, e) == cls, (m, e)
+                    assert _walk(m, e).edges == built, (m, e)
+                    misses = _class_edges.cache_info().misses
+                    assert _class_edges(tuple(cls), e) == built
+                    assert _class_edges.cache_info().misses == misses, (m, e)
+                    checked += 1
+    assert checked > 1000
+    # at e = 0 the class carries no residues; unreduced weights are reduced
+    for m, e in (((0, 1, 2, 3), 0), ((0, 2, 1, 3), 0), ((5, -2, 4), 4), ((0, 2, 4, 1, 3), 7)):
+        assert weight_class(m, e) == weight_class_by_search(m, e), (m, e)
 
 
 def test_weight_class_generic_staircase_is_singleton():
@@ -218,9 +254,9 @@ def test_weight_class_known_sizes():
 def test_scalar_modules_n2():
     # (0,1): T_1 acts by q; (1,0): T_1 acts by -1
     mod = seminormal_module([(0, 1)], 3)
-    assert mod.T[0] == [[(0, mod.q)]]
+    assert mod.T[0] == (((0, mod.q),),)
     mod = seminormal_module([(1, 0)], 3)
-    assert mod.T[0] == [[(0, Cyc.from_rational(3, -1))]]
+    assert mod.T[0] == (((0, Cyc.from_rational(3, -1)),),)
 
 
 def test_hecke_relations_on_known_classes():
@@ -380,6 +416,10 @@ def test_a_ratio_that_is_not_reciprocal_fails_both_routes(monkeypatch):
             assert got == _signs_or_error(_all_edge_values, *args), args
             kind = got if isinstance(got, str) else "values"
             outcomes[kind] = outcomes.get(kind, 0) + 1
+            # the invariance windows check the reciprocity at the same
+            # differences, so the check raises exactly where the values do
+            checked = _signs_or_error(lambda *_: verify_form_invariance(mod), *args)
+            assert (checked if isinstance(checked, str) else "values") == kind, args
     finally:
         clear_package_caches()
     assert outcomes.get("ValueError: " + _VALUES_DISAGREE, 0) > 0 and outcomes.get("values", 0) > 0
@@ -415,7 +455,8 @@ def test_cyclotomic_membership():
 
 def test_corrupted_operator_fails_relations():
     # a 6-dimensional class: every T_i column with an off-diagonal entry
-    # moves within an orbit of several weights
+    # moves within an orbit of several weights; each mutant is the eager
+    # module with one entry changed, walked by the oracle
     cls = weight_class((0, 1, 3, 4), 6)
     mod = seminormal_module(cls, 6)
     assert mod.dim() == 6
@@ -425,11 +466,10 @@ def test_corrupted_operator_fails_relations():
     for i in range(1, mod.n):
         for j in range(mod.dim()):
             for p in range(len(mod.T[i - 1][j])):
-                mutant = seminormal_module(cls, 6)
+                mutant = EagerSeminormalModule(cls, 6)
                 idx, c = mutant.T[i - 1][j][p]
                 mutant.T[i - 1][j][p] = (idx, c + 1)
-                assert not is_construction(mutant)
-                report = verify_hecke_relations(mutant)
+                report = walked_hecke_relations(mutant)
                 assert report == column_hecke_relations(mutant)
                 assert not report[f"quadratic_{i}"], (i, j, p)
                 mutants += 1
@@ -438,10 +478,9 @@ def test_corrupted_operator_fails_relations():
     for k in range(1, mod.n + 1):
         for j in range(mod.dim()):
             for idx in set(range(mod.dim())) - {j}:
-                mutant = seminormal_module(cls, 6)
+                mutant = EagerSeminormalModule(cls, 6)
                 mutant.X[k - 1][j].append((idx, Cyc.one(6)))
-                assert not is_construction(mutant)
-                report = verify_hecke_relations(mutant)
+                report = walked_hecke_relations(mutant)
                 assert report == column_hecke_relations(mutant)
                 assert not all(ok for name, ok in report.items()
                                if name.startswith("xcomm_") and str(k) in name.split("_")[1:]), \
@@ -484,7 +523,6 @@ def test_formula_rows_are_checked_on_a_module_equal_to_its_construction(monkeypa
         monkeypatch.setattr(seminormal, "_t_entries", _moved_diagonal(_t_entries, d))
         window_memo()
         mod = seminormal_module(cls, 6)
-        assert is_construction(mod)
         report = verify_hecke_relations(mod)
         assert list(report.items()) == list(column_hecke_relations(mod).items()), d
         failed = {name.split("_")[0] for name, ok in report.items() if not ok}
@@ -494,31 +532,22 @@ def test_formula_rows_are_checked_on_a_module_equal_to_its_construction(monkeypa
         assert all(invariance[f"X_{k}"] for k in range(1, mod.n + 1)), d
 
 
-def _walked_relations(mod, monkeypatch):
-    """verify_hecke_relations as a module that is not its construction
-    takes it: every row walks the module's orbits."""
-    with monkeypatch.context() as patch:
-        patch.setattr(seminormal, "is_construction", lambda _: False)
-        return verify_hecke_relations(mod)
-
-
-def _assert_routes_agree(mod, monkeypatch):
-    """The window route, the orbit walk and the column oracle give the
-    same report, in the same order."""
-    assert is_construction(mod)
+def _assert_routes_agree(mod):
+    """The window route, the orbit walk of the module's own operators and
+    the column oracle give the same report, in the same order."""
     report = list(verify_hecke_relations(mod).items())
-    assert report == list(_walked_relations(mod, monkeypatch).items()), (mod.cls[0], mod.e, mod.a)
+    assert report == list(walked_hecke_relations(mod).items()), (mod.cls[0], mod.e, mod.a)
     assert report == list(column_hecke_relations(mod).items()), (mod.cls[0], mod.e, mod.a)
     return dict(report)
 
 
-def test_relation_table_matches_column_oracle(monkeypatch):
+def test_relation_table_matches_column_oracle():
     # the gate's criterion-6 sweep: every calibrated class at every coprime
     # a, read off windows, walked and checked column by column; both memos
     # warm up along the sweep
     checked = 0
     for mod in seminormal_modules(*GATE_ARGS):
-        _assert_routes_agree(mod, monkeypatch)
+        _assert_routes_agree(mod)
         checked += 1
     assert checked == GATE_FLOORS["hecke_relations"]
 
@@ -545,11 +574,11 @@ def _classes_beyond_the_gate():
                         break
 
 
-def test_window_route_matches_the_walk_beyond_the_gate(monkeypatch):
+def test_window_route_matches_the_walk_beyond_the_gate():
     checked, repeats = 0, 0
     for cls, e, a in _classes_beyond_the_gate():
         mod = seminormal_module(cls, e, a)
-        report = _assert_routes_agree(mod, monkeypatch)
+        report = _assert_routes_agree(mod)
         assert all(report.values()), (cls[0], e, a)
         assert verify_form_invariance(mod) == dense_form_invariance(mod), (cls[0], e, a)
         repeats += e == 2 and any(m[i] == m[i + 2] for m in cls for i in range(len(m) - 2))
@@ -579,7 +608,7 @@ def test_window_route_matches_the_walk_on_wrong_entries(monkeypatch, window_memo
     monkeypatch.setattr(seminormal, "_t_entries", wrong(_t_entries))
     verdicts = set()
     for mod in seminormal_modules(range(2, 7), range(2, 5)):
-        report = _assert_routes_agree(mod, monkeypatch)
+        report = _assert_routes_agree(mod)
         verdicts.update((name.split("_")[0], ok) for name, ok in report.items())
         # the invariance windows share the relation windows' Galois check
         assert verify_form_invariance(mod) == dense_form_invariance(mod), (mod.cls[0], mod.e, mod.a)
@@ -634,16 +663,15 @@ def test_relation_order_matches_column_oracle_up_to_n8():
 
 
 def _rescaled(cls, e):
-    """The module of cls with its last basis vector doubled: every T_i
-    conjugated by one diagonal matrix, so that every relation still holds
-    but the module is not its construction and walks its orbits."""
-    mod = seminormal_module(cls, e)
+    """The eager module of cls with its last basis vector doubled: every
+    T_i conjugated by one diagonal matrix, so that every relation still
+    holds but the operators are no longer the construction's."""
+    mod = EagerSeminormalModule(cls, e)
     last, two, half = mod.dim() - 1, Cyc.from_rational(e, 2), Cyc.from_rational(e, Fraction(1, 2))
     for op in mod.T:
         for j, col in enumerate(op):
             op[j] = [(i, c * two if i == last != j else c * half if j == last != i else c)
                      for i, c in col]
-    assert not is_construction(mod)
     return mod
 
 
@@ -662,20 +690,20 @@ def test_verdicts_are_memoised_per_local_configuration(monkeypatch):
     _invariance_verdict.cache_clear()
     _window_check.cache_clear()
     with monkeypatch.context() as patch:
-        # a module that is not its construction walks, with its own form
-        patch.setattr(seminormal, "form_values", lambda _: _rescaled_form(cls, 6))
-        assert all(verify_hecke_relations(_rescaled(cls, 6)).values())
-        assert all(verify_form_invariance(_rescaled(cls, 6)).values())
+        # the oracle walk of a rescaled module, with its own form
+        patch.setattr(oracles, "form_values", lambda _: _rescaled_form(cls, 6))
+        assert all(walked_hecke_relations(_rescaled(cls, 6)).values())
+        assert all(walked_form_invariance(_rescaled(cls, 6)).values())
         relations, invariance = _relation_verdict.cache_info(), _invariance_verdict.cache_info()
         # local configurations repeat even within one module
         assert relations.hits > 0 and invariance.hits > 0
         # a second module of the same class builds the same local keys
-        assert all(verify_hecke_relations(_rescaled(cls, 6)).values())
-        assert all(verify_form_invariance(_rescaled(cls, 6)).values())
+        assert all(walked_hecke_relations(_rescaled(cls, 6)).values())
+        assert all(walked_form_invariance(_rescaled(cls, 6)).values())
         assert _relation_verdict.cache_info().misses == relations.misses
         assert _invariance_verdict.cache_info().misses == invariance.misses
-    # a module that is its construction reads its windows, and a second
-    # one of the same class adds no window to the memo
+    # a module reads its windows, and a second one of the same class adds
+    # no window to the memo
     assert all(verify_hecke_relations(seminormal_module(cls, 6)).values())
     assert all(verify_form_invariance(seminormal_module(cls, 6)).values())
     windows = _window_check.cache_info()
@@ -688,16 +716,17 @@ def test_verdicts_are_memoised_per_local_configuration(monkeypatch):
     assert all(verify_form_invariance(seminormal_module(cls, 6, 5)).values())
     assert _window_check.cache_info().misses == windows.misses
     # the form values belong to the local configuration: M^dagger G M = G
-    # holds for every multiple of G, but not after one value of G is doubled
+    # holds for every multiple of G, but not after one value of G is
+    # doubled; the module's own check reads the construction's form
     mod = seminormal_module(cls, 6)
     values = form_values(mod)
     j = min(j for j, col in enumerate(mod.T[0]) if len(col) > 1)
     values[j] = values[j] + values[j]
-    for module in (seminormal, oracles):
-        monkeypatch.setattr(module, "form_values", lambda _: values)
-    report = verify_form_invariance(mod)
+    monkeypatch.setattr(oracles, "form_values", lambda _: values)
+    report = walked_form_invariance(mod)
     assert report == dense_form_invariance(mod)
     assert not report["T_1"] and all(report[f"X_{k}"] for k in range(1, mod.n + 1))
+    assert all(verify_form_invariance(mod).values())
 
 
 def test_class_count_matches_calibrated_multipartitions():
@@ -724,17 +753,14 @@ def test_all_classes_satisfy_relations(e, n):
         assert all(verify_form_invariance(mod).values())
 
 
-def test_sparse_invariance_matches_dense_oracle(monkeypatch):
+def test_sparse_invariance_matches_dense_oracle():
     # the gate's criterion-6 sweep: every calibrated class at every coprime
     # a, read off windows, walked and checked entry by entry
     checked = 0
     for mod in seminormal_modules(*GATE_ARGS):
-        assert is_construction(mod)
         report = verify_form_invariance(mod)
         assert report == dense_form_invariance(mod), (mod.cls[0], mod.e, mod.a)
-        with monkeypatch.context() as patch:
-            patch.setattr(seminormal, "is_construction", lambda _: False)
-            assert verify_form_invariance(mod) == report, (mod.cls[0], mod.e, mod.a)
+        assert walked_form_invariance(mod) == report, (mod.cls[0], mod.e, mod.a)
         checked += 1
     assert checked == GATE_FLOORS["hecke_relations"]
 
@@ -742,12 +768,13 @@ def test_sparse_invariance_matches_dense_oracle(monkeypatch):
 def test_corrupted_operator_fails_invariance():
     cls = weight_class((0, 2, 1, 3), 4)
     # the clean module first, so that every clean local configuration is
-    # in the verdict memo when the corrupted ones are checked
+    # in the verdict memo when the corrupted eager modules are walked
     assert all(verify_form_invariance(seminormal_module(cls, 4)).values())
+    assert all(walked_form_invariance(seminormal_module(cls, 4)).values())
     cases = (("T_1", "diagonal"), ("T_1", "off-diagonal"), ("T_1", "new entry"),
              ("T_1", "entry in an earlier orbit"), ("X_1", "new entry"))
     for op, corrupt in cases:
-        mod = seminormal_module(cls, 4)
+        mod = EagerSeminormalModule(cls, 4)
         ops = mod.T if op[0] == "T" else mod.X
         # the first column of T_1 with an off-diagonal entry
         col = ops[0][min(j for j, c in enumerate(ops[0]) if len(c) > 1)
@@ -766,21 +793,19 @@ def test_corrupted_operator_fails_invariance():
             # column k gets row 0, whose orbit the walk visits first and
             # which does not reach k
             ops[0][k].append((0, Cyc.one(4)))
-        assert not is_construction(mod)
-        sparse, dense = verify_form_invariance(mod), dense_form_invariance(mod)
+        sparse, dense = walked_form_invariance(mod), dense_form_invariance(mod)
         assert sparse == dense
         assert not sparse[op]
     # T_1 + c with c^2 = q passes G M = (M^{-1})^dagger G when M^{-1} is
     # taken as q^{-1}(M + 1 - q), which is the inverse only of an operator
     # that satisfies the quadratic relation; it is not an isometry
     for e, a in ((5, 1), (5, 2), (7, 3)):
-        mod = seminormal_module(weight_class((0, 2, 1, 3), e), e, a)
+        mod = EagerSeminormalModule(weight_class((0, 2, 1, 3), e), e, a)
         c = Cyc.zeta_power(e, a * (e + 1) // 2)
         assert c * c == mod.q
         mod.T[0] = [[(i, x + c if i == j else x) for i, x in col]
                     for j, col in enumerate(mod.T[0])]
-        assert not is_construction(mod)
-        sparse = verify_form_invariance(mod)
+        sparse = walked_form_invariance(mod)
         assert sparse == dense_form_invariance(mod)
         assert [name for name, ok in sparse.items() if not ok] == ["T_1"], (e, a)
 
@@ -808,15 +833,15 @@ def test_cached_form_ratio_matches_the_formula():
 
 @st.composite
 def corrupted_modules(draw):
-    """A seminormal module (e 2..6, n <= 4, a coprime to e), the clean
-    module of its class, and the module with one entry of one T_i or X_k
-    changed: an existing entry moved by 2, or a new entry at a row the
-    column does not hold."""
+    """A seminormal module (e 2..6, n <= 4, a coprime to e) and the eager
+    module of its class with one entry of one T_i or X_k changed: an
+    existing entry moved by 2, or a new entry at a row the column does not
+    hold."""
     e = draw(st.integers(min_value=2, max_value=6))
     n = draw(st.integers(min_value=1, max_value=4))
     cls = draw(st.sampled_from(enumerate_calibrated_classes(n, e)))
     a = draw(st.sampled_from([a for a in range(1, e) if gcd(a, e) == 1]))
-    clean, mutant = seminormal_module(cls, e, a), seminormal_module(cls, e, a)
+    clean, mutant = seminormal_module(cls, e, a), EagerSeminormalModule(cls, e, a)
     op = draw(st.sampled_from(mutant.T + mutant.X))
     col = op[draw(st.integers(min_value=0, max_value=mutant.dim() - 1))]
     row = draw(st.integers(min_value=0, max_value=mutant.dim() - 1))
@@ -836,10 +861,12 @@ def test_warm_memo_matches_the_oracles_on_corrupted_modules(modules):
     # warm the memo with every clean local configuration of the class
     assert all(verify_hecke_relations(clean).values())
     assert all(verify_form_invariance(clean).values())
-    assert is_construction(clean) and not is_construction(mutant)
-    report = verify_hecke_relations(mutant)
+    assert all(walked_hecke_relations(clean).values())
+    assert all(walked_form_invariance(clean).values())
+    assert column_lists(clean.T) + column_lists(clean.X) != mutant.T + mutant.X
+    report = walked_hecke_relations(mutant)
     assert list(report.items()) == list(column_hecke_relations(mutant).items())
-    assert verify_form_invariance(mutant) == dense_form_invariance(mutant)
+    assert walked_form_invariance(mutant) == dense_form_invariance(mutant)
 
 
 def test_cached_t_entries_match_the_formula():
