@@ -20,9 +20,8 @@ and the invariance of X_k hold whatever the entries are.  quadratic_i and
 txt_i read only the window (m_i, m_{i+1}) of each weight, braid_i only
 (m_i, m_{i+1}, m_{i+2}), and T_i invariance only (m_i, m_{i+1}).  Each is
 checked once per window that occurs, shifted to end in 0, on the
-construction over the window's closure, one orbit of the operators at a
-time with the verdict memoised on the orbit's local submatrices.  Form
-invariance is checked as an isometry, M^dagger G M = G, so no inverse
+construction over the window's closure (at most 6 weights), every column
+of both sides compared directly (_window_check).  Form invariance is checked as an isometry, M^dagger G M = G, so no inverse
 operator is built.  The window verdicts are memoised per (e, a, kind,
 window) across modules, and a window at q = zeta^a takes the verdict at
 q = zeta: sigma_a: zeta -> zeta^a (a prime to e) is a field automorphism
@@ -35,7 +34,7 @@ is the sigma_a-image of the one at 1 is checked once per (e, a)
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomics import Cyc, _new, re_compare
+from .cyclotomics import Cyc, re_compare
 
 
 def _norm(m, e):
@@ -234,104 +233,26 @@ def _column(side, j):
     return {i: c for i, c in out.items() if not c.is_zero()}
 
 
-def _orbits(ops, dim):
-    """Yield (orbit, pos): the indices that a column reaches through the
-    column maps of ops, in walk order from the first column not yet
-    covered, and pos[index] = its place in the orbit.  Each orbit is closed
-    under every op, and together they cover all dim columns."""
-    covered = [False] * dim
-    for j in range(dim):
-        if covered[j]:
-            continue
-        orbit, pos = [j], {j: 0}
-        for k in orbit:
-            for op in ops:
-                for i, _ in op[k]:
-                    if i not in pos:
-                        pos[i] = len(orbit)
-                        orbit.append(i)
-        for k in orbit:
-            covered[k] = True
-        yield orbit, pos
-
-
-def _local(op, orbit, pos):
-    """The submatrix of op on a closed orbit as one flat int tuple: per
-    local column its entry count, then per entry the local row, the
-    denominator and the phi(e) numerators."""
-    flat = []
-    for k in orbit:
-        col = op[k]
-        flat.append(len(col))
-        for i, c in col:
-            flat.append(pos[i])
-            flat.append(c.den)
-            flat.extend(c.num)
-    return tuple(flat)
-
-
-def _unflatten_columns(e, flat):
-    """The column map that _local wrote into flat."""
-    d = len(Cyc.zero(e).num)
-    cols, p = [], 0
-    while p < len(flat):
-        col, count = [], flat[p]
-        p += 1
-        for _ in range(count):
-            col.append((flat[p], _new(e, flat[p + 2:p + 2 + d], flat[p + 1])))
-            p += 2 + d
-        cols.append(col)
-    return cols
-
-
-# the shape of a commutation row, A B = B A, in _relation_table
-_COMMUTE = (((None, (0, 1)),), ((None, (1, 0)),))
-
-
 @lru_cache(maxsize=None)
-def _relation_table(n, e, a):
-    """The defining relations at (n, e, a) in report order, as rows (name,
-    slots, shape): slots index the distinct operators, in order of first
-    use, into mod.T + mod.X; shape is each side's terms, the scalar as
-    (num, den) or None and the operators as positions in slots."""
-    zq = Cyc.zeta_power(e, a)
-    q, q1 = (zq.num, zq.den), ((zq - 1).num, (zq - 1).den)  # as (num, den)
-    x = n - 2  # X_k is at x + k
-    # (T_i + 1)(T_i - q) = 0  <=>  T_i^2 = (q - 1) T_i + q
-    rows = [(f"quadratic_{i}", (i - 1,), (((None, (0, 0)),), ((q1, (0,)), (q, ()))))
-            for i in range(1, n)]
-    rows += [(f"braid_{i}", (i - 1, i), (((None, (0, 1, 0)),), ((None, (1, 0, 1)),)))
-             for i in range(1, n - 1)]
-    rows += [(f"distant_{i}_{j}", (i - 1, j - 1), _COMMUTE)
-             for i in range(1, n) for j in range(i + 2, n)]
-    rows += [(f"xcomm_{i}_{j}", (x + i, x + j), _COMMUTE)
-             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+def _relation_table(n):
+    """The defining relations at n in report order, as rows (name, kind,
+    position): quadratic_i, braid_i and txt_i have kind "quadratic",
+    "braid" or "txt" and position i - 1, the index of T_i; the commutation
+    rows distant_*, xcomm_* and tx_* have kind and position None."""
+    rows = [(f"quadratic_{i}", "quadratic", i - 1) for i in range(1, n)]
+    rows += [(f"braid_{i}", "braid", i - 1) for i in range(1, n - 1)]
+    rows += [(f"distant_{i}_{j}", None, None) for i in range(1, n) for j in range(i + 2, n)]
+    rows += [(f"xcomm_{i}_{j}", None, None) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for i in range(1, n):
-        rows.append((f"txt_{i}", (i - 1, x + i, x + i + 1), (((None, (0, 1, 0)),), ((q, (2,)),))))
-        rows += [(f"tx_{i}_{j}", (i - 1, x + j), _COMMUTE)
-                 for j in range(1, n + 1) if j not in (i, i + 1)]
+        rows.append((f"txt_{i}", "txt", i - 1))
+        rows += [(f"tx_{i}_{j}", None, None) for j in range(1, n + 1) if j not in (i, i + 1)]
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _relation_verdict(e, shape, local):
-    """Does the relation of this shape hold on every column of the local
-    operators (one flat tuple each, see _local)?  Everything is rebuilt
-    from the key, so equal keys give equal verdicts."""
-    ops = [_unflatten_columns(e, flat) for flat in local]
-
-    def side(terms):
-        return [(None if s is None else _new(e, *s), tuple(ops[k] for k in positions))
-                for s, positions in terms]
-
-    lhs, rhs = side(shape[0]), side(shape[1])
-    return all(_column(lhs, j) == _column(rhs, j) for j in range(len(ops[0])))
-
-
 def verify_hecke_relations(mod):
-    """Exact verification of the defining relations on every basis vector:
-    each row of _relation_table holds when every column of its two sides
-    agrees.  mod is its construction, so no row walks the module.
+    """Exact verification of the defining relations on every basis vector,
+    in the order of _relation_table.  mod is its construction, so no row
+    reads its operators.
 
     The commutation rows distant_*, xcomm_* and tx_* hold whatever values
     _t_entries gives, so they are reported true:
@@ -346,20 +267,20 @@ def verify_hecke_relations(mod):
     and braid_i the window (m_i, m_{i+1}, m_{i+2}); each window is checked
     by _windows_hold, memoised across modules and shared across the
     coprime a whose construction is the sigma_a-image of the one at a = 1
-    (the relation table's scalars q and q - 1 are then the images of zeta
+    (the scalars q and q - 1 of the relations are then the images of zeta
     and zeta - 1 too).  This reads the module exactly:
-    - the orbit of column m under the row's operators is the set of
+    - the columns that column m reaches under the row's operators are the
       weights that admissible s_i (and s_{i+1}) reach from m, each once (a
       class that lacks one of them, or repeats a weight, builds no
       module); they change only the window, and their admissibility reads
-      only the window, so the orbit is the closure of m's window (_walk)
-      with the other entries held fixed, and any weight of the orbit gives
-      the same closure;
+      only the window, so they are the closure of m's window (_walk) with
+      the other entries held fixed, and any weight of it gives the same
+      closure;
     - T_i's entries and its admissibility read only m_i - m_{i+1}, so
       shifting every entry of a window by one constant changes no T;
     - X_i and X_{i+1} are diagonal, and a shift by c multiplies both by
-      zeta^(-a*c) on every weight of the orbit; txt_i is linear in the X's
-      on each side, so dividing them by b_{i+1} keeps its verdict.
+      zeta^(-a*c) on every weight of the closure; txt_i is linear in the
+      X's on each side, so dividing them by b_{i+1} keeps its verdict.
     So a row holds iff it holds on the construction over the closure of
     every window that occurs, shifted so that its last entry is 0."""
     e, a = mod.e, mod.a
@@ -367,23 +288,14 @@ def verify_hecke_relations(mod):
     ds = [[d for _, d in col] for col in zip(*_class_edges(mod.cls, e))]
     pairs = [{(d, 0) for d in col} for col in ds]
     report = {}
-    for name, slots, shape in _relation_table(mod.n, e, a):
-        if shape == _COMMUTE:
+    for name, kind, i in _relation_table(mod.n):
+        if kind is None:
             report[name] = True
         else:
-            kind, i = name.split("_")[0], slots[0]
             windows = pairs[i] if kind != "braid" else {
                 ((x + y) % e, y, 0) for x, y in set(zip(ds[i], ds[i + 1]))}
             report[name] = _windows_hold(e, a, kind, windows)
     return report
-
-
-def _row_holds(row, shape, e, dim):
-    """Does the relation of this shape hold on the operators row (column
-    maps on dim columns)?  One orbit of row at a time, each through the
-    verdict memo _relation_verdict."""
-    return all(_relation_verdict(e, shape, tuple(_local(op, orbit, pos) for op in row))
-               for orbit, pos in _orbits(row, dim))
 
 
 def _windows_hold(e, a, kind, windows):
@@ -403,25 +315,40 @@ def _windows_hold(e, a, kind, windows):
 
 @lru_cache(maxsize=None)
 def _window_check(e, a, kind, window):
-    """_windows_hold at (e, a) itself, on one window.  The closure is one
-    orbit of the row's operators, and every window of the orbit, shifted
-    to end in 0, gives the same verdict (see verify_hecke_relations), so
-    each window defers to the least of them.  The invariance window is
-    checked with the construction's form values, 1 at the first weight.
-    The key holds no entry value: a change of _t_entries needs
-    cache_clear."""
+    """_windows_hold at (e, a) itself, on one window: both sides of the
+    relation, or M^dagger G M and G for T_1 invariance, built from _t_op
+    and _x_op on the window's closure and compared column by column.  The
+    closure is closed under the row's operators, and every window of it,
+    shifted to end in 0, gives the same verdict (see
+    verify_hecke_relations), so each window defers to the least of them.
+    G is the diagonal of the construction's form values, 1 at the first
+    weight, carried along the closure's edges by _form_values, which
+    raises its ValueError where the ratios are not reciprocal.  The key
+    holds no entry value: a change of _t_entries needs cache_clear."""
     cls = _walk(window, e)
     least = min(tuple((x - w[-1]) % e for x in w) for w in cls)
     if window != least:
         return _window_check(e, a, kind, least)
-    n = len(window)
-    T = [_t_op(cls.edges, e, a, i) for i in range(n - 1)]
+    T = _t_op(cls.edges, e, a, 0)
     if kind == "invariance":
         values = _form_values(cls.edges, e, a)
-        return _isometry(T[0], [((j, g),) for j, g in enumerate(values)], e)
-    ops = T + [_x_op(cls, e, a, k) for k in range(n)]
-    _, slots, shape = next(row for row in _relation_table(n, e, a) if row[0] == f"{kind}_1")
-    return _row_holds([ops[k] for k in slots], shape, e, len(cls))
+        adjoint = [[] for _ in T]
+        for j, col in enumerate(T):
+            for i, c in col:
+                adjoint[i].append((j, c.conj()))
+        product = [(None, (adjoint, [((j, g),) for j, g in enumerate(values)], T))]
+        return all(_column(product, j) == {j: g} for j, g in enumerate(values))
+    q = Cyc.zeta_power(e, a)
+    if kind == "quadratic":
+        # (T_i + 1)(T_i - q) = 0  <=>  T_i^2 = (q - 1) T_i + q
+        lhs, rhs = [(None, (T, T))], [(q - 1, (T,)), (q, ())]
+    elif kind == "braid":
+        U = _t_op(cls.edges, e, a, 1)
+        lhs, rhs = [(None, (T, U, T))], [(None, (U, T, U))]
+    else:
+        # txt: T_i X_i T_i = q X_{i+1}
+        lhs, rhs = [(None, (T, _x_op(cls, e, a, 0), T))], [(q, (_x_op(cls, e, a, 1),))]
+    return all(_column(lhs, j) == _column(rhs, j) for j in range(len(cls)))
 
 
 @lru_cache(maxsize=None)
@@ -592,16 +519,17 @@ def verify_form_invariance(mod):
     isometry: it is diagonal with roots of unity b on the diagonal, and
     conj(b) g b = g for every diagonal form value g.  T_i is read off
     windows.  G has no zero and g_k = g_j * _form_ratio(e, a, d) along
-    every edge j -> k = s_i j.  An orbit of T_i is {j, k} or {j}, T_i on
-    it reads only d = (m_i - m_{i+1}) mod e at j, and G on it is g_j times
-    the form (1, ratio) of the construction over the closure of the window
-    (d, 0).  M^dagger (c G) M = c G iff M^dagger G M = G for c != 0, so
-    T_i is an isometry iff it is one on each such window: _windows_hold(e,
-    a, "invariance", ...) over the windows (d, 0) that occur, memoised and
-    shared across coprime a as the relation windows are.  Each window
-    carries its form values along its edges and checks the reciprocity of
-    their ratios (_propagate) at the difference d of its edge, as building
-    G does at every edge of the class, and raises the same ValueError."""
+    every edge j -> k = s_i j.  T_i keeps the span of w_j and w_k (of w_j
+    alone where s_i is not admissible), reads on it only d = (m_i -
+    m_{i+1}) mod e at j, and G on it is g_j times the form (1, ratio) of
+    the construction over the closure of the window (d, 0).  M^dagger
+    (c G) M = c G iff M^dagger G M = G for c != 0, so T_i is an isometry
+    iff it is one on each such window: _windows_hold(e, a, "invariance",
+    ...) over the windows (d, 0) that occur, memoised and shared across
+    coprime a as the relation windows are.  Each window carries its form
+    values along its edges and checks the reciprocity of their ratios
+    (_propagate) at the difference d of its edge, as building G does at
+    every edge of the class, and raises the same ValueError."""
     e, a = mod.e, mod.a
     edges = _class_edges(mod.cls, e)
     report = {}
@@ -613,42 +541,12 @@ def verify_form_invariance(mod):
     return report
 
 
-def _isometry(op, G, e):
-    """Is the column map op an isometry of the diagonal form G (a column
-    map)?  One orbit of op at a time, each through _invariance_verdict.
-
-    Every entry of a column lies in that column's orbit, and an orbit is
-    closed under op, so M^dagger G M is computed exactly on each orbit.
-    An entry of M^dagger G M whose row k and column j share no orbit needs
-    a row i that columns j and k both hold, with k not reached from i: an
-    entry M_ik whose mirror M_ki is 0.  The orbit of k then holds the
-    closed orbit P of i but not k.  If M^dagger G M = G holds on P, M is
-    invertible there, because no form value is 0, so the entries of
-    column k in the rows of P give column k of M^dagger G M a nonzero
-    entry in a row of P, and the check of the orbit of k fails.  So the
-    orbit checks all pass exactly when M^dagger G M = G."""
-    return all(_invariance_verdict(e, _local(G, orbit, pos), _local(op, orbit, pos))
-               for orbit, pos in _orbits((op,), len(op)))
-
-
-@lru_cache(maxsize=None)
-def _invariance_verdict(e, g, op):
-    """M^dagger G M = G on every column of the local operator, with g the
-    local form values as a diagonal column map (flat tuples, see _local),
-    rebuilt from the key alone.  Each column of the product goes through
-    _column, as the relations do."""
-    G, M = _unflatten_columns(e, g), _unflatten_columns(e, op)
-    adjoint = [[] for _ in M]
-    for j, col in enumerate(M):
-        for i, c in col:
-            adjoint[i].append((j, c.conj()))
-    product = [(None, (adjoint, G, M))]
-    return all(_column(product, j) == dict(G[j]) for j in range(len(M)))
-
-
 def cyclotomic_membership(mod, ch):
     """Does prod_i (X_1 - q^{s_i}) vanish?  X_1 is diagonal, so this just
-    asks that every weight's first eigenvalue is one of the Q_i."""
+    asks that every weight's first eigenvalue is one of the Q_i.  The
+    charge must be at the module's e and a, or ValueError is raised."""
+    if (ch.e, ch.a) != (mod.e, mod.a):
+        raise ValueError("the charge and the module must have the same e and a")
     targets = {(ch.a * s) % mod.e for s in ch.s}
     return all((mod.a * wt[0]) % mod.e in targets for wt in mod.cls)
 

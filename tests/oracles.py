@@ -35,10 +35,9 @@ multipartition of |la| and drops those too tall for the frame afterwards.
 which reduces the whole weight mod e before comparing two of its entries,
 and ``weight_class_by_search`` the original weight class, a search with it.
 ``EagerSeminormalModule`` is the original seminormal module, which builds
-every X_k and T_i in its constructor as lists that a test may change, and
-``walked_hecke_relations`` and ``walked_form_invariance`` are the original
-checks of such a module, which walk its own column maps one orbit at a
-time, through the verdict memos the windows of ``seminormal`` use.
+every X_k and T_i in its constructor as lists that a test may change;
+``column_hecke_relations`` and ``dense_form_invariance`` check such a
+module on its own operators.
 ``class_form_signs_per_edge`` is the original form-sign propagation, which
 builds its own adjacency of the class with the reduced admissibility test,
 walks it, and calls ``re_compare`` once per edge.
@@ -83,9 +82,6 @@ from calihecke.multipartitions import (
 )
 from calihecke.seminormal import (
     _class_edges,
-    _isometry,
-    _relation_table,
-    _row_holds,
     _t_op,
     _x_op,
     form_values,
@@ -702,25 +698,6 @@ class EagerSeminormalModule:
 def column_lists(ops):
     """Operators (column maps) as lists of lists of (i, coeff)."""
     return [[list(col) for col in op] for op in ops]
-
-
-def walked_hecke_relations(mod):
-    """The defining relations on the module's own column maps, each row of
-    seminormal._relation_table walked one orbit of its operators at a
-    time (seminormal._row_holds)."""
-    ops, dim = list(mod.T) + list(mod.X), mod.dim()
-    return {name: _row_holds([ops[k] for k in slots], shape, mod.e, dim)
-            for name, slots, shape in _relation_table(mod.n, mod.e, mod.a)}
-
-
-def walked_form_invariance(mod):
-    """Every T_i and X_k of the module an isometry of the diagonal form
-    G = form_values(mod), one orbit of the operator at a time
-    (seminormal._isometry)."""
-    G = [[(j, g)] for j, g in enumerate(form_values(mod))]
-    report = {f"T_{i}": _isometry(mod.T[i - 1], G, mod.e) for i in range(1, mod.n)}
-    report.update((f"X_{k}", _isometry(mod.X[k - 1], G, mod.e)) for k in range(1, mod.n + 1))
-    return report
 
 
 def class_form_signs_per_edge(cls, e, a=1):

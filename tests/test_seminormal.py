@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -14,9 +13,7 @@ from calihecke.seminormal import (
     SeminormalModule,
     _class_edges,
     _form_ratio,
-    _invariance_verdict,
     _is_galois_image,
-    _relation_verdict,
     _t_entries,
     _walk,
     _window_check,
@@ -46,8 +43,6 @@ from oracles import (
     column_lists,
     dense_form_invariance,
     propagate_all_edges,
-    walked_form_invariance,
-    walked_hecke_relations,
     weight_class_by_search,
 )
 
@@ -453,10 +448,21 @@ def test_cyclotomic_membership():
     assert not cyclotomic_membership(mod, Charge((1, 3), 4))
 
 
+def test_cyclotomic_membership_rejects_a_charge_at_another_e_or_a():
+    # the residues of the charge mean nothing at another e, and q^{s_i}
+    # another eigenvalue at another a
+    mod = seminormal_module(weight_class((0, 2), 4), 4)
+    for ch in (Charge((0, 2), 6), Charge((0, 2), 8), Charge((0, 2), 4, 3)):
+        with pytest.raises(ValueError, match="same e and a"):
+            cyclotomic_membership(mod, ch)
+    assert cyclotomic_membership(seminormal_module(weight_class((0, 2), 4), 4, 3),
+                                 Charge((0, 2), 4, 3))
+
+
 def test_corrupted_operator_fails_relations():
     # a 6-dimensional class: every T_i column with an off-diagonal entry
     # moves within an orbit of several weights; each mutant is the eager
-    # module with one entry changed, walked by the oracle
+    # module with one entry changed, which both oracles must flag
     cls = weight_class((0, 1, 3, 4), 6)
     mod = seminormal_module(cls, 6)
     assert mod.dim() == 6
@@ -469,9 +475,9 @@ def test_corrupted_operator_fails_relations():
                 mutant = EagerSeminormalModule(cls, 6)
                 idx, c = mutant.T[i - 1][j][p]
                 mutant.T[i - 1][j][p] = (idx, c + 1)
-                report = walked_hecke_relations(mutant)
-                assert report == column_hecke_relations(mutant)
+                report = column_hecke_relations(mutant)
                 assert not report[f"quadratic_{i}"], (i, j, p)
+                assert not dense_form_invariance(mutant)[f"T_{i}"], (i, j, p)
                 mutants += 1
     # an off-diagonal entry in X_k moves w_j to a weight that differs from
     # cls[j] at some other position l, so X_k no longer commutes with X_l
@@ -480,18 +486,19 @@ def test_corrupted_operator_fails_relations():
             for idx in set(range(mod.dim())) - {j}:
                 mutant = EagerSeminormalModule(cls, 6)
                 mutant.X[k - 1][j].append((idx, Cyc.one(6)))
-                report = walked_hecke_relations(mutant)
-                assert report == column_hecke_relations(mutant)
+                report = column_hecke_relations(mutant)
                 assert not all(ok for name, ok in report.items()
                                if name.startswith("xcomm_") and str(k) in name.split("_")[1:]), \
                     (k, j, idx)
+                assert not dense_form_invariance(mutant)[f"X_{k}"], (k, j, idx)
                 mutants += 1
     assert mutants == 30 + 4 * 6 * 5
 
 
 def _moved_diagonal(real, moved=2):
-    """T_i's diagonal plus 1 at d = moved: quadratic, txt and braid fail on
-    the windows whose closure holds that difference, and only there."""
+    """T_i's diagonal plus 1 at d = moved: quadratic, txt, braid and T_i
+    invariance fail on the windows whose closure holds that difference,
+    and only there."""
     def entries(e, a, d):
         diag, off = real(e, a, d)
         return (diag + 1, off) if d == moved else (diag, off)
@@ -532,22 +539,21 @@ def test_formula_rows_are_checked_on_a_module_equal_to_its_construction(monkeypa
         assert all(invariance[f"X_{k}"] for k in range(1, mod.n + 1)), d
 
 
-def _assert_routes_agree(mod):
-    """The window route, the orbit walk of the module's own operators and
-    the column oracle give the same report, in the same order."""
+def _assert_window_route_matches_the_oracle(mod):
+    """The window route and the column oracle, which reads the module's own
+    operators, give the same report, in the same order."""
     report = list(verify_hecke_relations(mod).items())
-    assert report == list(walked_hecke_relations(mod).items()), (mod.cls[0], mod.e, mod.a)
     assert report == list(column_hecke_relations(mod).items()), (mod.cls[0], mod.e, mod.a)
     return dict(report)
 
 
 def test_relation_table_matches_column_oracle():
     # the gate's criterion-6 sweep: every calibrated class at every coprime
-    # a, read off windows, walked and checked column by column; both memos
-    # warm up along the sweep
+    # a, read off windows and checked column by column; the window memo
+    # warms up along the sweep
     checked = 0
     for mod in seminormal_modules(*GATE_ARGS):
-        _assert_routes_agree(mod)
+        _assert_window_route_matches_the_oracle(mod)
         checked += 1
     assert checked == GATE_FLOORS["hecke_relations"]
 
@@ -574,11 +580,11 @@ def _classes_beyond_the_gate():
                         break
 
 
-def test_window_route_matches_the_walk_beyond_the_gate():
+def test_window_route_matches_the_oracles_beyond_the_gate():
     checked, repeats = 0, 0
     for cls, e, a in _classes_beyond_the_gate():
         mod = seminormal_module(cls, e, a)
-        report = _assert_routes_agree(mod)
+        report = _assert_window_route_matches_the_oracle(mod)
         assert all(report.values()), (cls[0], e, a)
         assert verify_form_invariance(mod) == dense_form_invariance(mod), (cls[0], e, a)
         repeats += e == 2 and any(m[i] == m[i + 2] for m in cls for i in range(len(m) - 2))
@@ -600,22 +606,37 @@ def _moved_at_minus_one(real):
     return lambda e, a, d: moved(e, a, d) if a == e - 1 else real(e, a, d)
 
 
-@pytest.mark.parametrize("wrong", [_swapped_diagonals, _moved_diagonal, _moved_at_minus_one])
-def test_window_route_matches_the_walk_on_wrong_entries(monkeypatch, window_memo, wrong):
+def _moved_off_diagonal(real):
+    """T_i's off-diagonal plus 1 at d = 2: quadratic, txt, braid and T_i
+    invariance fail on the windows whose closure holds that difference."""
+    def entries(e, a, d):
+        diag, off = real(e, a, d)
+        return (diag, off + 1) if d == 2 else (diag, off)
+    return entries
+
+
+@pytest.mark.parametrize("wrong", [_swapped_diagonals, _moved_diagonal, _moved_at_minus_one,
+                                   _moved_off_diagonal])
+def test_window_route_matches_the_oracles_on_wrong_entries(monkeypatch, window_memo, wrong):
     # an entry formula that breaks some rows but not others, built into
-    # every module: the three routes must agree row by row, and the memo
-    # must keep the verdicts of quadratic, txt and braid apart
+    # every module: the window route must agree with both oracles row by
+    # row, and the memo must keep the verdicts of quadratic, txt, braid and
+    # T_i invariance apart
     monkeypatch.setattr(seminormal, "_t_entries", wrong(_t_entries))
     verdicts = set()
     for mod in seminormal_modules(range(2, 7), range(2, 5)):
-        report = _assert_routes_agree(mod)
+        report = _assert_window_route_matches_the_oracle(mod)
         verdicts.update((name.split("_")[0], ok) for name, ok in report.items())
         # the invariance windows share the relation windows' Galois check
-        assert verify_form_invariance(mod) == dense_form_invariance(mod), (mod.cls[0], mod.e, mod.a)
+        invariance = verify_form_invariance(mod)
+        assert invariance == dense_form_invariance(mod), (mod.cls[0], mod.e, mod.a)
+        verdicts.update((name.split("_")[0], ok) for name, ok in invariance.items())
     held = {kind for kind, ok in verdicts if ok}
     failed = {kind for kind, ok in verdicts if not ok}
-    assert failed == ({"txt"} if wrong is _swapped_diagonals else {"quadratic", "txt", "braid"})
-    assert {"quadratic", "txt", "braid"} <= held
+    # a swap of the diagonals keeps every T_i an isometry; a moved entry
+    # breaks T_i invariance, and the window check reports it
+    assert failed == ({"txt"} if wrong is _swapped_diagonals else {"quadratic", "txt", "braid", "T"})
+    assert {"quadratic", "txt", "braid", "T", "X"} <= held
     # the Galois check tells the formula wrong at a = e - 1 alone apart
     shared = {(e, a): _is_galois_image(e, a) for e in range(3, 7) for a in (1, e - 1)}
     assert all(shared.values()) == (wrong is not _moved_at_minus_one)
@@ -662,46 +683,9 @@ def test_relation_order_matches_column_oracle_up_to_n8():
         assert all(report.values()), n
 
 
-def _rescaled(cls, e):
-    """The eager module of cls with its last basis vector doubled: every
-    T_i conjugated by one diagonal matrix, so that every relation still
-    holds but the operators are no longer the construction's."""
-    mod = EagerSeminormalModule(cls, e)
-    last, two, half = mod.dim() - 1, Cyc.from_rational(e, 2), Cyc.from_rational(e, Fraction(1, 2))
-    for op in mod.T:
-        for j, col in enumerate(op):
-            op[j] = [(i, c * two if i == last != j else c * half if j == last != i else c)
-                     for i, c in col]
-    return mod
-
-
-def _rescaled_form(cls, e):
-    """The form values that the module _rescaled(cls, e) keeps invariant:
-    D T D^-1 is an isometry of D^-dagger G D^-1, D = diag(1, ..., 1, 2), so
-    the last value is divided by 4."""
-    values = form_values(seminormal_module(cls, e))
-    values[-1] = values[-1] * Cyc.from_rational(e, Fraction(1, 4))
-    return values
-
-
-def test_verdicts_are_memoised_per_local_configuration(monkeypatch):
+def test_window_verdicts_are_memoised_and_read_the_construction_form(monkeypatch):
     cls = weight_class((0, 1, 3, 4), 6)
-    _relation_verdict.cache_clear()
-    _invariance_verdict.cache_clear()
     _window_check.cache_clear()
-    with monkeypatch.context() as patch:
-        # the oracle walk of a rescaled module, with its own form
-        patch.setattr(oracles, "form_values", lambda _: _rescaled_form(cls, 6))
-        assert all(walked_hecke_relations(_rescaled(cls, 6)).values())
-        assert all(walked_form_invariance(_rescaled(cls, 6)).values())
-        relations, invariance = _relation_verdict.cache_info(), _invariance_verdict.cache_info()
-        # local configurations repeat even within one module
-        assert relations.hits > 0 and invariance.hits > 0
-        # a second module of the same class builds the same local keys
-        assert all(walked_hecke_relations(_rescaled(cls, 6)).values())
-        assert all(walked_form_invariance(_rescaled(cls, 6)).values())
-        assert _relation_verdict.cache_info().misses == relations.misses
-        assert _invariance_verdict.cache_info().misses == invariance.misses
     # a module reads its windows, and a second one of the same class adds
     # no window to the memo
     assert all(verify_hecke_relations(seminormal_module(cls, 6)).values())
@@ -715,16 +699,15 @@ def test_verdicts_are_memoised_per_local_configuration(monkeypatch):
     assert all(verify_hecke_relations(seminormal_module(cls, 6, 5)).values())
     assert all(verify_form_invariance(seminormal_module(cls, 6, 5)).values())
     assert _window_check.cache_info().misses == windows.misses
-    # the form values belong to the local configuration: M^dagger G M = G
-    # holds for every multiple of G, but not after one value of G is
-    # doubled; the module's own check reads the construction's form
+    # M^dagger G M = G holds for every multiple of G, but not after one
+    # value of G is doubled; the module's own check reads the
+    # construction's form
     mod = seminormal_module(cls, 6)
     values = form_values(mod)
     j = min(j for j, col in enumerate(mod.T[0]) if len(col) > 1)
     values[j] = values[j] + values[j]
     monkeypatch.setattr(oracles, "form_values", lambda _: values)
-    report = walked_form_invariance(mod)
-    assert report == dense_form_invariance(mod)
+    report = dense_form_invariance(mod)
     assert not report["T_1"] and all(report[f"X_{k}"] for k in range(1, mod.n + 1))
     assert all(verify_form_invariance(mod).values())
 
@@ -755,22 +738,20 @@ def test_all_classes_satisfy_relations(e, n):
 
 def test_sparse_invariance_matches_dense_oracle():
     # the gate's criterion-6 sweep: every calibrated class at every coprime
-    # a, read off windows, walked and checked entry by entry
+    # a, read off windows and checked entry by entry
     checked = 0
     for mod in seminormal_modules(*GATE_ARGS):
         report = verify_form_invariance(mod)
         assert report == dense_form_invariance(mod), (mod.cls[0], mod.e, mod.a)
-        assert walked_form_invariance(mod) == report, (mod.cls[0], mod.e, mod.a)
         checked += 1
     assert checked == GATE_FLOORS["hecke_relations"]
 
 
 def test_corrupted_operator_fails_invariance():
+    # each mutant is the eager module with one entry of T_1 or X_1 changed,
+    # which both oracles must flag
     cls = weight_class((0, 2, 1, 3), 4)
-    # the clean module first, so that every clean local configuration is
-    # in the verdict memo when the corrupted eager modules are walked
-    assert all(verify_form_invariance(seminormal_module(cls, 4)).values())
-    assert all(walked_form_invariance(seminormal_module(cls, 4)).values())
+    assert all(dense_form_invariance(EagerSeminormalModule(cls, 4)).values())
     cases = (("T_1", "diagonal"), ("T_1", "off-diagonal"), ("T_1", "new entry"),
              ("T_1", "entry in an earlier orbit"), ("X_1", "new entry"))
     for op, corrupt in cases:
@@ -790,12 +771,11 @@ def test_corrupted_operator_fails_invariance():
         elif corrupt == "new entry":
             col.append((k, Cyc.one(4)))
         else:
-            # column k gets row 0, whose orbit the walk visits first and
-            # which does not reach k
+            # column k gets row 0, which does not reach k: an entry whose
+            # mirror is 0
             ops[0][k].append((0, Cyc.one(4)))
-        sparse, dense = walked_form_invariance(mod), dense_form_invariance(mod)
-        assert sparse == dense
-        assert not sparse[op]
+        assert not dense_form_invariance(mod)[op], (op, corrupt)
+        assert not all(column_hecke_relations(mod).values()), (op, corrupt)
     # T_1 + c with c^2 = q passes G M = (M^{-1})^dagger G when M^{-1} is
     # taken as q^{-1}(M + 1 - q), which is the inverse only of an operator
     # that satisfies the quadratic relation; it is not an isometry
@@ -805,9 +785,9 @@ def test_corrupted_operator_fails_invariance():
         assert c * c == mod.q
         mod.T[0] = [[(i, x + c if i == j else x) for i, x in col]
                     for j, col in enumerate(mod.T[0])]
-        sparse = walked_form_invariance(mod)
-        assert sparse == dense_form_invariance(mod)
-        assert [name for name, ok in sparse.items() if not ok] == ["T_1"], (e, a)
+        report = dense_form_invariance(mod)
+        assert [name for name, ok in report.items() if not ok] == ["T_1"], (e, a)
+        assert not column_hecke_relations(mod)["quadratic_1"], (e, a)
 
 
 def _coprime_pairs():
@@ -829,44 +809,6 @@ def test_cached_form_ratio_matches_the_formula():
                 _form_ratio(e, a, (mi - mi1) % e)
         else:
             assert _form_ratio(e, a, (mi - mi1) % e) == (bi - q * bi1) / (q * bi - bi1)
-
-
-@st.composite
-def corrupted_modules(draw):
-    """A seminormal module (e 2..6, n <= 4, a coprime to e) and the eager
-    module of its class with one entry of one T_i or X_k changed: an
-    existing entry moved by 2, or a new entry at a row the column does not
-    hold."""
-    e = draw(st.integers(min_value=2, max_value=6))
-    n = draw(st.integers(min_value=1, max_value=4))
-    cls = draw(st.sampled_from(enumerate_calibrated_classes(n, e)))
-    a = draw(st.sampled_from([a for a in range(1, e) if gcd(a, e) == 1]))
-    clean, mutant = seminormal_module(cls, e, a), EagerSeminormalModule(cls, e, a)
-    op = draw(st.sampled_from(mutant.T + mutant.X))
-    col = op[draw(st.integers(min_value=0, max_value=mutant.dim() - 1))]
-    row = draw(st.integers(min_value=0, max_value=mutant.dim() - 1))
-    rows = [i for i, _ in col]
-    if row in rows:
-        p = rows.index(row)
-        col[p] = (row, col[p][1] + 2)
-    else:
-        col.append((row, Cyc.from_rational(e, draw(st.sampled_from((-1, 1, 2))))))
-    return clean, mutant
-
-
-@given(corrupted_modules())
-@settings(max_examples=60, deadline=None)
-def test_warm_memo_matches_the_oracles_on_corrupted_modules(modules):
-    clean, mutant = modules
-    # warm the memo with every clean local configuration of the class
-    assert all(verify_hecke_relations(clean).values())
-    assert all(verify_form_invariance(clean).values())
-    assert all(walked_hecke_relations(clean).values())
-    assert all(walked_form_invariance(clean).values())
-    assert column_lists(clean.T) + column_lists(clean.X) != mutant.T + mutant.X
-    report = walked_hecke_relations(mutant)
-    assert list(report.items()) == list(column_hecke_relations(mutant).items())
-    assert walked_form_invariance(mutant) == dense_form_invariance(mutant)
 
 
 def test_cached_t_entries_match_the_formula():
