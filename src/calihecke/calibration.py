@@ -234,7 +234,7 @@ def pad_with_empty_components(mp, ch, ell):
     out = []
     for seq in sorted(results):
         cand_mp = tuple(x[0] for x in seq)
-        cand_ch = Charge(tuple(x[1] for x in seq), ch.e, ch.a)
+        cand_ch = Charge(tuple(x[1] for x in seq), ch.e)
         if is_cali(cand_mp, cand_ch):
             out.append((cand_mp, cand_ch))
     return out

@@ -48,14 +48,14 @@ def _parse_ints(text, code, what):
     return tuple(int(x) for x in text.split(","))
 
 
-def _parse_charge(args, a=1, required=True):
+def _parse_charge(args, required=True):
     if args.charge is None:
         if required:
             _die_usage("MISSING_CHARGE", "--charge is required")
         return None
     s = _parse_ints(args.charge, "BAD_CHARGE", "charge")
     try:
-        ch = make_charge(s, args.e, a)
+        ch = make_charge(s, args.e)
     except ValueError as ex:
         _die_usage("BAD_PARAMETERS", str(ex))
     if not is_cylindrical_charge(ch):
@@ -162,7 +162,7 @@ def cmd_seminormal(args):
         m = column_reading_weight(la, args.e)
     if gcd(args.a, args.e) != 1:
         _die_usage("BAD_PARAMETERS", "need gcd(a, e) = 1")
-    ch = _parse_charge(args, args.a, required=False)
+    ch = _parse_charge(args, required=False)
     from .seminormal import (
         class_form_signs,
         cyclotomic_membership,
@@ -307,7 +307,15 @@ def main(argv=None):
             p.add_argument(flag, type=kind, default=default)
         p.add_argument("--format", choices=("json", "tsv"), default="json")
 
-    args = parser.parse_args(argv)
+    # argparse takes a token such as -1,0 for an option, so a value that
+    # starts with a minus sign and a digit is attached to its flag
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in _OPTIONS and re.match(r"-[0-9]", token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = parser.parse_args(tokens)
     if "e" in args:  # every command that reads --e needs it
         if args.e is None:
             _die_usage("MISSING_E", "--e is required")

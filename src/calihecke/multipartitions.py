@@ -17,15 +17,13 @@ from typing import NamedTuple
 class Charge(NamedTuple):
     s: tuple
     e: int
-    a: int = 1
 
     @property
     def level(self):
         return len(self.s)
 
 
-def make_charge(s, e, a=1):
-    from math import gcd
+def make_charge(s, e):
     s = tuple(s)
     if not s:
         raise ValueError("charge must have at least one entry")
@@ -33,9 +31,7 @@ def make_charge(s, e, a=1):
         raise ValueError("charge entries must be integers")
     if e < 2:
         raise ValueError("quantum characteristic e must be >= 2")
-    if gcd(a, e) != 1:
-        raise ValueError("numerator a must be coprime to e")
-    return Charge(s, e, a)
+    return Charge(s, e)
 
 
 def is_cylindrical_charge(ch):
@@ -244,11 +240,11 @@ def tableau_sums(steps=None, keep=None):
     sub-shapes visits (and tests with keep) each once.  Each visit reads
     the shape's down-steps (b, shape - b) off one scan (_down_steps).
 
-    F.kept(shape) lists the down-steps (b, shape - b) whose smaller shape F
-    reaches (F(shape - b) nonzero), and nothing when F(shape) is zero: the
-    last steps of the tableaux that F counts.  An ungraded F with keep
-    records them as it sums, so a walk over its tableaux reads them without
-    a scan; any other F scans on the first call per shape and keeps that.
+    An ungraded F with keep also has F.kept(shape): the down-steps
+    (b, shape - b) whose smaller shape F reaches (F(shape - b) nonzero),
+    recorded as it sums, and nothing when F(shape) is zero.  These are the
+    last steps of the tableaux that F counts, so a walk over them needs no
+    scan.  No other F has kept.
     """
     memo, record = {}, {}
 
@@ -285,14 +281,11 @@ def tableau_sums(steps=None, keep=None):
         return out
 
     def kept(shape):
-        if not fold(shape):
-            return ()
-        out = record.get(shape)
-        if out is None:
-            out = record[shape] = tuple(step for step in _down_steps(shape) if fold(step[1]))
-        return out
+        fold(shape)
+        return record.get(shape, ())
 
-    fold.kept = kept
+    if steps is None and keep is not None:
+        fold.kept = kept
     return fold
 
 

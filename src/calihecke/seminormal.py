@@ -11,7 +11,8 @@ Along an edge s_i of a weight class, whether s_i is admissible, T_i's two
 entries, the form ratio A_{s_i b}/A_b and its sign depend only on
 b_i/b_{i+1} = zeta^(a*d), d = (m_i - m_{i+1}) mod e.  So T_i, the form
 values and the form signs all read one edge list per class (_class_edges),
-and the entries and the ratio are cached by (e, a, d).
+and the entries and the ratio are cached by (e, a, d).  The form values
+and signs are carried from the first weight along every edge (_propagate).
 
 A module is its construction: X_k and T_i are read-only tuples built on
 first read, and the constructor makes every lookup that building them
@@ -21,13 +22,14 @@ txt_i read only the window (m_i, m_{i+1}) of each weight, braid_i only
 (m_i, m_{i+1}, m_{i+2}), and T_i invariance only (m_i, m_{i+1}).  Each is
 checked once per window that occurs, shifted to end in 0, on the
 construction over the window's closure (at most 6 weights), every column
-of both sides compared directly (_window_check).  Form invariance is checked as an isometry, M^dagger G M = G, so no inverse
-operator is built.  The window verdicts are memoised per (e, a, kind,
-window) across modules, and a window at q = zeta^a takes the verdict at
-q = zeta: sigma_a: zeta -> zeta^a (a prime to e) is a field automorphism
-of Q(zeta_e) that commutes with complex conjugation, so an equality of
-such matrices holds at a iff it holds at 1.  That the construction at a
-is the sigma_a-image of the one at 1 is checked once per (e, a)
+of both sides compared directly (_window_check).  Form invariance is
+checked as an isometry, M^dagger G M = G, so no inverse operator is
+built.  The window verdicts are memoised per (e, a, kind, window) across
+modules, and a window at q = zeta^a takes the verdict at q = zeta:
+sigma_a: zeta -> zeta^a (a prime to e) is a field automorphism of
+Q(zeta_e) that commutes with complex conjugation, so an equality of such
+matrices holds at a iff it holds at 1.  That the construction at a is the
+sigma_a-image of the one at 1 is checked once per (e, a)
 (_is_galois_image), not assumed.
 """
 
@@ -322,9 +324,9 @@ def _window_check(e, a, kind, window):
     shifted to end in 0, gives the same verdict (see
     verify_hecke_relations), so each window defers to the least of them.
     G is the diagonal of the construction's form values, 1 at the first
-    weight, carried along the closure's edges by _form_values, which
-    raises its ValueError where the ratios are not reciprocal.  The key
-    holds no entry value: a change of _t_entries needs cache_clear."""
+    weight, carried along every edge of the closure by _form_values, which
+    raises its ValueError where two edges disagree.  The key holds no
+    entry value: a change of _t_entries needs cache_clear."""
     cls = _walk(window, e)
     least = min(tuple((x - w[-1]) % e for x in w) for w in cls)
     if window != least:
@@ -401,22 +403,13 @@ def _class_edges(cls, e):
     return tuple(edges)
 
 
-def _propagate(edges, start, step, reciprocal, inconsistent):
+def _propagate(edges, start, step, inconsistent):
     """Values on a weight class with the edge list edges (see
-    _class_edges), start at its first weight, carried along the edges of a
-    spanning tree: the value at s_i m is the value at m times step(d).
-
-    Every other edge agrees with the tree iff step(d) * step(-d mod e) = 1
-    at each difference d of an edge, which reciprocal(d) tells.  Only if:
-    the edge back along s_i has difference -d.  If: s_i never swaps equal
-    entries, so a closed walk returns every entry to its place; each pair
-    of entries is therefore swapped an even number of times, alternately
-    with d and -d mod e, and the product of the steps around the walk is a
-    product of such pairs.  Raises ValueError(inconsistent) when reciprocal
-    fails at the difference of an edge the walk meets, so at the same
-    classes as the walk that multiplies along every edge."""
+    _class_edges), start at its first weight, carried along every edge:
+    the value at s_i m is the value at m times step(d).  Raises
+    ValueError(inconsistent) where an edge disagrees with the value
+    already set."""
     vals = [start] + [None] * (len(edges) - 1)
-    differences = set()
     frontier = [0] if edges else []
     reached = 1
     while frontier:
@@ -425,13 +418,13 @@ def _propagate(edges, start, step, reciprocal, inconsistent):
         for k, d in edges[j]:
             if k is None:
                 continue
-            differences.add(d)
+            target = value * step(d)
             if vals[k] is None:
-                vals[k] = value * step(d)
+                vals[k] = target
                 frontier.append(k)
                 reached += 1
-    if not all(map(reciprocal, differences)):
-        raise ValueError(inconsistent)
+            elif vals[k] != target:
+                raise ValueError(inconsistent)
     if reached != len(edges):
         raise ValueError("weight class is not connected by admissible transpositions")
     return vals
@@ -445,8 +438,7 @@ def class_form_signs(cls, e, a=1):
     re_compare on exponents.  No matrices are needed.
 
     The sign of an edge depends only on d = (m_i - m_{i+1}) mod e, so
-    re_compare runs once per difference d that the walk meets (and its
-    negative, for the check that the signs at d and -d agree).  a must be
+    re_compare runs once per difference d that the walk meets.  a must be
     prime to e, so that q = zeta^a is primitive; then no edge is a wall:
     Re(zeta^(a*d)) = Re(q) means a*d = +-a, so d = +-1 (mod e), and s_i is
     not admissible there."""
@@ -462,8 +454,7 @@ def class_form_signs(cls, e, a=1):
             sign = signs[d] = 1 if re_compare(a, a * d, e) > 0 else -1
         return sign
 
-    vals = _propagate(_class_edges(cls, e), 1, step, lambda d: step(d) * step(-d % e) == 1,
-                      "inconsistent sign propagation around a cycle")
+    vals = _propagate(_class_edges(cls, e), 1, step, "inconsistent sign propagation around a cycle")
     return dict(zip(cls, vals))
 
 
@@ -482,18 +473,7 @@ def form_values(mod):
 def _form_values(edges, e, a):
     """form_values on a class with the edge list edges at (e, a)."""
     return _propagate(edges, Cyc.one(e), lambda d: _form_ratio(e, a, d),
-                      lambda d: _reciprocal_ratio(e, a, d),
                       "inconsistent form values around a cycle")
-
-
-@lru_cache(maxsize=None)
-def _reciprocal_ratio(e, a, d):
-    """Is _form_ratio(e, a, d) * _form_ratio(e, a, -d mod e) = 1?  Then
-    _propagate carries the form values along edges of difference d
-    consistently.  Checked once per (e, a, d) that an edge has, so no
-    case pays for the differences no class meets; the key holds no ratio,
-    so a change of _form_ratio needs cache_clear."""
-    return _form_ratio(e, a, d) * _form_ratio(e, a, -d % e) == 1
 
 
 @lru_cache(maxsize=None)
@@ -526,10 +506,9 @@ def verify_form_invariance(mod):
     (c G) M = c G iff M^dagger G M = G for c != 0, so T_i is an isometry
     iff it is one on each such window: _windows_hold(e, a, "invariance",
     ...) over the windows (d, 0) that occur, memoised and shared across
-    coprime a as the relation windows are.  Each window carries its form
-    values along its edges and checks the reciprocity of their ratios
-    (_propagate) at the difference d of its edge, as building G does at
-    every edge of the class, and raises the same ValueError."""
+    coprime a as the relation windows are.  Each window builds its form
+    values as G is built (_form_values), and raises the same ValueError
+    where they disagree."""
     e, a = mod.e, mod.a
     edges = _class_edges(mod.cls, e)
     report = {}
@@ -542,13 +521,13 @@ def verify_form_invariance(mod):
 
 
 def cyclotomic_membership(mod, ch):
-    """Does prod_i (X_1 - q^{s_i}) vanish?  X_1 is diagonal, so this just
-    asks that every weight's first eigenvalue is one of the Q_i.  The
-    charge must be at the module's e and a, or ValueError is raised."""
-    if (ch.e, ch.a) != (mod.e, mod.a):
-        raise ValueError("the charge and the module must have the same e and a")
-    targets = {(ch.a * s) % mod.e for s in ch.s}
-    return all((mod.a * wt[0]) % mod.e in targets for wt in mod.cls)
+    """Does prod_i (X_1 - q^{s_i}) vanish?  X_1 is diagonal with entries
+    zeta^(a*m_1) and a is a unit mod e, so this asks that each m_1 is an
+    s_i mod e.  A charge at another e than the module's raises ValueError."""
+    if ch.e != mod.e:
+        raise ValueError("the charge and the module must have the same e")
+    targets = {s % mod.e for s in ch.s}
+    return all(wt[0] % mod.e in targets for wt in mod.cls)
 
 
 def enumerate_calibrated_classes(n, e):

@@ -41,9 +41,6 @@ module on its own operators.
 ``class_form_signs_per_edge`` is the original form-sign propagation, which
 builds its own adjacency of the class with the reduced admissibility test,
 walks it, and calls ``re_compare`` once per edge.
-``propagate_all_edges`` is the original propagation over a class's edge
-list, which multiplies along every directed edge and compares each value
-it meets a second time.
 ``i_word_scan`` is the original i-word, which rescans every box of the
 multipartition for one residue; ``f_tilde_scan`` and ``e_tilde_scan`` read
 the reduced scanned word, ``reachable_by_size_scan`` is the breadth-first
@@ -732,30 +729,6 @@ def class_form_signs_per_edge(cls, e, a=1):
     if len(vals) != len(cls):
         raise ValueError("weight class is not connected by admissible transpositions")
     return {b: vals[j] for j, b in enumerate(cls)}
-
-
-def propagate_all_edges(edges, start, step, inconsistent):
-    """Values on a weight class with the edge list edges (see
-    seminormal._class_edges), start at its first weight, carried along
-    every edge: the value at s_i m is the value at m times step(d).  Raises
-    ValueError(inconsistent) when two paths disagree."""
-    vals = {0: start}
-    frontier = [0] if edges else []
-    while frontier:
-        j = frontier.pop()
-        for k, d in edges[j]:
-            if k is None:
-                continue
-            target = vals[j] * step(d)
-            if k in vals:
-                if vals[k] != target:
-                    raise ValueError(inconsistent)
-            else:
-                vals[k] = target
-                frontier.append(k)
-    if len(vals) != len(edges):
-        raise ValueError("weight class is not connected by admissible transpositions")
-    return [vals[j] for j in range(len(edges))]
 
 
 def i_word_scan(mp, ch, i):

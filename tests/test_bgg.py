@@ -472,7 +472,7 @@ def test_r5_fails_end_to_end_without_the_alcove_filter(monkeypatch):
     # with the unfiltered fold, Path^F is every standard tableau: the label's
     # six paths include the residue sequences 1, 0, 1 (R5) and 0, 1, 1 (R3)
     la, ch, hbar = ((2,), (2,)), Charge((0, 1), 5), (1, 1)
-    fold = tableau_sums()
+    fold = tableau_sums(keep=lambda shape: True)
     monkeypatch.setattr(bgg, "_path_fold", lambda c, h: fold)
     monkeypatch.setattr(oracles, "_path_fold", lambda c, h: fold)
     mod = build_klr_module(la, ch, hbar)

@@ -139,6 +139,25 @@ def test_integer_lists_are_strict(capsys, argv, code):
         assert json.loads(err)["error"] == code, value
 
 
+def test_a_leading_negative_token_is_a_value(capsys):
+    # argparse takes a token such as -1,0 for an option: after a space, the
+    # value must read as it does after "="
+    for argv, joined in (
+            (["classify", "--e", "4", "--charge", "-1,0", "--n", "2"],
+             ["classify", "--e", "4", "--charge=-1,0", "--n", "2"]),
+            (["seminormal", "--e", "3", "--weight", "-1,1"],
+             ["seminormal", "--e", "3", "--weight=-1,1"]),
+            (["seminormal", "--e", "5", "--a", "2", "--weight", "-1,1", "--charge", "-1"],
+             ["seminormal", "--e", "5", "--a", "2", "--weight=-1,1", "--charge=-1"])):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and err == "", argv
+        assert run(capsys, *joined) == (code, out, err), joined
+    # a flag followed by another flag still has no value
+    code, out, err = run(capsys, "seminormal", "--e", "3", "--weight", "--charge", "-1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BAD_ARGUMENTS"
+
+
 def test_locus_report(capsys):
     code, out, _ = run(capsys, "locus", "--partition", "2,1")
     assert code == 0

@@ -94,8 +94,6 @@ def test_charge_validation():
     assert make_charge((0, 1), 4).level == 2
     with pytest.raises(ValueError):
         make_charge((0,), 1)
-    with pytest.raises(ValueError):
-        make_charge((0,), 4, a=2)
     # int() would truncate 1.7 and read True as 1
     for s in ((True, 1), (0, 1.7), ("0",)):
         with pytest.raises(ValueError):

@@ -42,7 +42,6 @@ from oracles import (
     column_hecke_relations,
     column_lists,
     dense_form_invariance,
-    propagate_all_edges,
     weight_class_by_search,
 )
 
@@ -371,31 +370,11 @@ def test_class_form_signs_match_the_oracle_on_inconsistent_cycles(monkeypatch):
 _VALUES_DISAGREE = "inconsistent form values around a cycle"
 
 
-def _all_edge_values(cls, e, a):
-    """The form values of the class, multiplied along every edge."""
-    return propagate_all_edges(_class_edges(tuple(cls), e), Cyc.one(e),
-                               lambda d: seminormal._form_ratio(e, a, d), _VALUES_DISAGREE)
-
-
-def test_tree_propagation_matches_the_all_edge_walk():
-    # form values and signs on every gate module, against the walk that
-    # multiplies along every directed edge
-    checked = 0
-    for mod in seminormal_modules(*GATE_ARGS):
-        cls, e, a = mod.cls, mod.e, mod.a
-        assert form_values(mod) == _all_edge_values(cls, e, a), (cls, e, a)
-        ordered = tuple(sorted(cls))
-        signs = propagate_all_edges(_class_edges(ordered, e), 1,
-                                    lambda d: 1 if oracles.re_compare(a, a * d, e) > 0 else -1,
-                                    "inconsistent sign propagation around a cycle")
-        assert class_form_signs(cls, e, a) == dict(zip(ordered, signs)), (cls, e, a)
-        checked += 1
-    assert checked == GATE_FLOORS["hecke_relations"] == 1358
-
-
-def test_a_ratio_that_is_not_reciprocal_fails_both_routes(monkeypatch):
-    # ratio(d) * ratio(-d) = 2 for 0 < d < e/2: every class with an edge of
-    # such a difference must raise on the tree walk as on the all-edge walk
+def test_a_ratio_that_is_not_reciprocal_raises(monkeypatch):
+    # ratio(d) * ratio(-d) = 2 for 0 < d < e/2, so a class raises iff one of
+    # its edges has a difference d other than -d mod e: the edge there and
+    # back multiplies its value by 2.  verify_form_invariance raises exactly
+    # where form_values does
     real = seminormal._form_ratio
 
     def skewed(e, a, d):
@@ -407,12 +386,13 @@ def test_a_ratio_that_is_not_reciprocal_fails_both_routes(monkeypatch):
     try:
         for mod in seminormal_modules(*GATE_ARGS):
             args = mod.cls, mod.e, mod.a
+            e, n = mod.e, mod.n
+            skews = any(wt[i - 1] != wt[i] and admissible_transposition(wt, i, e)
+                        and 2 * (wt[i - 1] - wt[i]) % e for wt in mod.cls for i in range(1, n))
             got = _signs_or_error(lambda *_: form_values(mod), *args)
-            assert got == _signs_or_error(_all_edge_values, *args), args
             kind = got if isinstance(got, str) else "values"
+            assert kind == ("ValueError: " + _VALUES_DISAGREE if skews else "values"), args
             outcomes[kind] = outcomes.get(kind, 0) + 1
-            # the invariance windows check the reciprocity at the same
-            # differences, so the check raises exactly where the values do
             checked = _signs_or_error(lambda *_: verify_form_invariance(mod), *args)
             assert (checked if isinstance(checked, str) else "values") == kind, args
     finally:
@@ -448,15 +428,38 @@ def test_cyclotomic_membership():
     assert not cyclotomic_membership(mod, Charge((1, 3), 4))
 
 
-def test_cyclotomic_membership_rejects_a_charge_at_another_e_or_a():
-    # the residues of the charge mean nothing at another e, and q^{s_i}
-    # another eigenvalue at another a
+def test_cyclotomic_membership_rejects_a_charge_at_another_e():
+    # the residues of the charge mean nothing at another e
     mod = seminormal_module(weight_class((0, 2), 4), 4)
-    for ch in (Charge((0, 2), 6), Charge((0, 2), 8), Charge((0, 2), 4, 3)):
-        with pytest.raises(ValueError, match="same e and a"):
+    for ch in (Charge((0, 2), 6), Charge((0, 2), 8)):
+        with pytest.raises(ValueError, match="same e"):
             cyclotomic_membership(mod, ch)
-    assert cyclotomic_membership(seminormal_module(weight_class((0, 2), 4), 4, 3),
-                                 Charge((0, 2), 4, 3))
+
+
+def test_cyclotomic_membership_is_the_vanishing_of_its_product():
+    # prod_i (X_1 - q^{s_i}) in Cyc, from the module's own X_1 and q, on
+    # every gate module (so at every coprime a) and every sorted charge in
+    # [0, e)^ell, ell <= 2
+    checked = members = 0
+    for mod in seminormal_modules(*GATE_ARGS):
+        e, q = mod.e, mod.q
+        powers = [Cyc.one(e)]
+        for _ in range(1, e):
+            powers.append(powers[-1] * q)
+        eigenvalues = {col[0][1] for col in mod.X[0]}
+        for ell in (1, 2):
+            for s in itertools.combinations_with_replacement(range(e), ell):
+                vanishes = True
+                for b in eigenvalues:
+                    product = Cyc.one(e)
+                    for x in s:
+                        product = product * (b - powers[x])
+                    vanishes = vanishes and product.is_zero()
+                got = cyclotomic_membership(mod, Charge(s, e))
+                assert got == vanishes, (mod.cls, e, mod.a, s)
+                checked += 1
+                members += got
+    assert checked > 0 and 0 < members < checked
 
 
 def test_corrupted_operator_fails_relations():
