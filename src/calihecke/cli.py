@@ -298,7 +298,9 @@ def main(argv=None):
     parser = _Parser(prog="calihecke")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        # no prefix of a flag is taken for it, so the joiner below, which
+        # reads exact names, covers every flag a subcommand accepts
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(handler=handler)
         if name == "verify":
             p.add_argument("suite", nargs="?", default="all")

@@ -10,9 +10,10 @@ column).
 Along an edge s_i of a weight class, whether s_i is admissible, T_i's two
 entries, the form ratio A_{s_i b}/A_b and its sign depend only on
 b_i/b_{i+1} = zeta^(a*d), d = (m_i - m_{i+1}) mod e.  So T_i, the form
-values and the form signs all read one edge list per class (_class_edges),
-and the entries and the ratio are cached by (e, a, d).  The form values
-and signs are carried from the first weight along every edge (_propagate).
+values and the form signs all read one edge list per class, built from
+the sorted class in one place (_class_edges), and the entries and the
+ratio are cached by (e, a, d).  The form values and signs are carried
+from the first weight along every edge (_propagate).
 
 A module is its construction: X_k and T_i are read-only tuples built on
 first read, and the constructor makes every lookup that building them
@@ -69,55 +70,26 @@ def admissible_transposition(m, i, e):
 
 
 def weight_class(m, e):
-    """Closure of m under admissible transpositions, sorted.  The walk
-    that finds it also lists its edges, which _class_edges then keeps, so
-    a module of the class does not walk it again."""
+    """Closure of m under admissible transpositions, sorted (_walk)."""
     if not is_calibrated_weight(m, e):
         raise ValueError("weight is not calibrated")
-    cls = _walk(_norm(m, e), e)
-    if e:
-        _class_edges(cls, e)
-    return list(cls)
-
-
-class _Walked(tuple):
-    """A sorted weight class that carries the edge list of the walk that
-    found it (see _class_edges).  It hashes and compares as the plain
-    tuple, so _class_edges, keyed by the class, keeps the edges under the
-    key that every later call with the class looks up."""
+    return list(_walk(_norm(m, e), e))
 
 
 def _walk(start, e):
     """The weights that start (a tuple) reaches by transpositions s_i that
-    are admissible and swap two different entries, sorted, as a _Walked
-    carrying their edge list: the rule of _class_edges, so that list is
-    the one _class_edges builds on the result.  On a calibrated weight no
-    two neighbours are equal, so this is its weight class.  At e = 0 there
-    are no residues, and it carries no edge list."""
-    found, index = [start], {start: 0}  # weights in the order found
-    steps = []  # per weight found, per i, the index of s_i m found or None
+    are admissible and swap two different entries, by a breadth-first
+    search, sorted, as a tuple: the rule of _class_edges.  On a calibrated
+    weight no two neighbours are equal, so this is its weight class."""
+    found, seen = [start], {start}
     for cur in found:
-        out = []
         for i in range(1, len(cur)):
-            k = None
             if cur[i - 1] != cur[i] and admissible_transposition(cur, i, e):
                 nxt = cur[:i - 1] + (cur[i], cur[i - 1]) + cur[i + 1:]
-                k = index.get(nxt)
-                if k is None:
-                    k = index[nxt] = len(found)
+                if nxt not in seen:
+                    seen.add(nxt)
                     found.append(nxt)
-            out.append(k)
-        steps.append(out)
-    order = sorted(range(len(found)), key=found.__getitem__)
-    place = [0] * len(found)
-    for j, k in enumerate(order):
-        place[k] = j
-    cls = _Walked(found[k] for k in order)
-    if e:
-        cls.edges = tuple(tuple([(None if k is None else place[k], (wt[i] - wt[i + 1]) % e)
-                                 for i, k in enumerate(steps[j])])
-                          for j, wt in zip(order, cls))
-    return cls
+    return tuple(sorted(found))
 
 
 class SeminormalModule:
@@ -319,7 +291,9 @@ def _windows_hold(e, a, kind, windows):
 def _window_check(e, a, kind, window):
     """_windows_hold at (e, a) itself, on one window: both sides of the
     relation, or M^dagger G M and G for T_1 invariance, built from _t_op
-    and _x_op on the window's closure and compared column by column.  The
+    and _x_op on the window's closure (_walk) and compared column by
+    column.  The closure's edge list is built by _class_edges uncached, so
+    it does not push the module's class out of that one-entry cache.  The
     closure is closed under the row's operators, and every window of it,
     shifted to end in 0, gives the same verdict (see
     verify_hecke_relations), so each window defers to the least of them.
@@ -331,9 +305,10 @@ def _window_check(e, a, kind, window):
     least = min(tuple((x - w[-1]) % e for x in w) for w in cls)
     if window != least:
         return _window_check(e, a, kind, least)
-    T = _t_op(cls.edges, e, a, 0)
+    edges = _class_edges.__wrapped__(cls, e)
+    T = _t_op(edges, e, a, 0)
     if kind == "invariance":
-        values = _form_values(cls.edges, e, a)
+        values = _form_values(edges, e, a)
         adjoint = [[] for _ in T]
         for j, col in enumerate(T):
             for i, c in col:
@@ -345,7 +320,7 @@ def _window_check(e, a, kind, window):
         # (T_i + 1)(T_i - q) = 0  <=>  T_i^2 = (q - 1) T_i + q
         lhs, rhs = [(None, (T, T))], [(q - 1, (T,)), (q, ())]
     elif kind == "braid":
-        U = _t_op(cls.edges, e, a, 1)
+        U = _t_op(edges, e, a, 1)
         lhs, rhs = [(None, (T, U, T))], [(None, (U, T, U))]
     else:
         # txt: T_i X_i T_i = q X_{i+1}
@@ -386,10 +361,9 @@ def _class_edges(cls, e):
     order of cls, one (k, d) per i = 1..n-1, with k the index of s_i m when
     s_i is admissible (and m_i != m_{i+1}), else None, and d = (m_i -
     m_{i+1}) mod e.  One entry: a module, its form values and signs, and
-    the sweeps over a ask for one class one after another.  A class that
-    weight_class walked (a _Walked) brings the edge list of its walk."""
-    if isinstance(cls, _Walked):
-        return cls.edges
+    the sweeps over a ask for one class one after another.  This is the
+    only code that lists edges; _window_check calls it uncached
+    (__wrapped__) on a window's closure."""
     index = {b: j for j, b in enumerate(cls)}
     edges = []
     for wt in cls:

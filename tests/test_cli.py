@@ -158,6 +158,17 @@ def test_a_leading_negative_token_is_a_value(capsys):
     assert json.loads(err)["error"] == "BAD_ARGUMENTS"
 
 
+def test_a_flag_is_taken_only_by_its_exact_name(capsys):
+    # a prefix of a flag is no flag, whether or not its value starts with
+    # a minus sign, so every flag that parses has its negative values joined
+    for argv in (["classify", "--e", "4", "--char", "0,1", "--n", "1"],
+                 ["classify", "--e", "4", "--char", "-1,0", "--n", "1"],
+                 ["locus", "--partition", "3,2", "--form", "tsv"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err, argv
+        assert json.loads(err)["error"] == "BAD_ARGUMENTS", argv
+
+
 def test_locus_report(capsys):
     code, out, _ = run(capsys, "locus", "--partition", "2,1")
     assert code == 0

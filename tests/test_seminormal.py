@@ -15,7 +15,6 @@ from calihecke.seminormal import (
     _form_ratio,
     _is_galois_image,
     _t_entries,
-    _walk,
     _window_check,
     _zeta_powers,
     admissible_transposition,
@@ -209,27 +208,31 @@ def test_operators_read_on_first_use_equal_the_eager_build():
     assert checked == GATE_FLOORS["hecke_relations"] == 1358
 
 
-def test_one_walk_gives_the_class_and_its_edge_list():
-    # the walk that finds a class lists its edges too: from every weight of
-    # every class of the gate range, the class is the search oracle's and
-    # the edge list is the one built from the sorted class, and after
-    # weight_class the module's edge list is read from the cache
+def test_weight_class_is_the_search_oracles_class():
+    # from every weight of every class of the gate range, weight_class
+    # finds the class that the search oracle finds
     checked = 0
     for e in GATE_ARGS[0]:
         for n in GATE_ARGS[1]:
             for cls in enumerate_calibrated_classes(n, e):
-                built = _class_edges.__wrapped__(tuple(cls), e)
                 for m in cls:
                     assert weight_class(m, e) == weight_class_by_search(m, e) == cls, (m, e)
-                    assert _walk(m, e).edges == built, (m, e)
-                    misses = _class_edges.cache_info().misses
-                    assert _class_edges(tuple(cls), e) == built
-                    assert _class_edges.cache_info().misses == misses, (m, e)
                     checked += 1
     assert checked > 1000
     # at e = 0 the class carries no residues; unreduced weights are reduced
     for m, e in (((0, 1, 2, 3), 0), ((0, 2, 1, 3), 0), ((5, -2, 4), 4), ((0, 2, 4, 1, 3), 7)):
         assert weight_class(m, e) == weight_class_by_search(m, e), (m, e)
+
+
+def test_finding_classes_builds_no_edge_list():
+    # the sweeps' case lists find every class of the gate range, and a
+    # class is listed again by weight_class, without building an edge list
+    _class_edges.cache_clear()
+    for e in GATE_ARGS[0]:
+        for n in GATE_ARGS[1]:
+            for cls in enumerate_calibrated_classes(n, e):
+                assert weight_class(cls[-1], e) == cls
+    assert _class_edges.cache_info().misses == 0
 
 
 def test_weight_class_generic_staircase_is_singleton():
