@@ -11,7 +11,7 @@ assumption e > h is enforced on every entry point.
 
 from functools import lru_cache
 
-from .multipartitions import tableau_boxes_by_entry, tableau_sums
+from .multipartitions import tableau_sums
 
 
 def _check_frame(ch, hbar):
@@ -167,9 +167,7 @@ def point_length(v, base, e):
 
 
 def tableau_to_path(t, hbar):
-    by_entry = tableau_boxes_by_entry(t)
-    return tuple(coord_index(r, m, hbar) for r, c, m in
-                 (by_entry[k] for k in range(1, len(by_entry) + 1)))
+    return tuple(coord_index(r, m, hbar) for r, c, m in t)
 
 
 def path_points(p, ch, hbar):

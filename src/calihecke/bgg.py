@@ -140,14 +140,9 @@ def block(la, ch, hbar):
     return BlockPoset(la, ch, hbar)
 
 
-def block_poset(la, ch, hbar, cross_validate=False):
-    hbar = tuple(hbar)
-    poset = block(la, ch, hbar)
-    if cross_validate:
-        expected = dominance_block(la, ch, hbar)
-        if sorted(poset.nodes) != expected:
-            raise AssertionError("orbit block differs from dominance block")
-    return poset
+def block_poset(la, ch, hbar):
+    """block, with hbar any sequence of heights."""
+    return block(la, ch, tuple(hbar))
 
 
 def dominance_block(la, ch, hbar):
@@ -183,11 +178,10 @@ def covers(poset):
     return edges
 
 
-def diamonds_and_strands(poset, edges=None):
-    """Length-2 intervals: (top, mid1, mid2, bottom) diamonds and
-    (top, mid, bottom) strands; every interval has at most two midpoints."""
-    if edges is None:
-        edges = covers(poset)
+def diamonds_and_strands(poset, edges):
+    """Length-2 intervals, read off the covers edges of poset:
+    (top, mid1, mid2, bottom) diamonds and (top, mid, bottom) strands; every
+    interval has at most two midpoints."""
     down = {}
     for mu, nu in edges:
         down.setdefault(mu, []).append(nu)
@@ -208,7 +202,7 @@ def diamonds_and_strands(poset, edges=None):
     return diamonds, strands
 
 
-def sign_assignment(poset, edges=None):
+def sign_assignment(poset, edges):
     """Edge signs with product -1 around every diamond, as a GF(2) system
     (sign -1 <-> bit 1).  Returns a map edge -> +-1, or None if infeasible.
 
@@ -220,8 +214,6 @@ def sign_assignment(poset, edges=None):
     all-ones right-hand side is reduced last; a remainder that cannot be
     reduced means no solution.
     """
-    if edges is None:
-        edges = covers(poset)
     diamonds, _ = diamonds_and_strands(poset, edges)
     index = {edge: k for k, edge in enumerate(edges)}
     columns = [0] * len(edges)

@@ -217,7 +217,9 @@ def cmd_bgg(args):
         _die_usage("ORIGIN_ON_WALL", str(ex))
     if not fundamental:
         _die_usage("NOT_FUNDAMENTAL", "label not in the fundamental alcove")
-    poset = bggmod.block_poset(la, ch, hb, cross_validate=True)
+    poset = bggmod.block_poset(la, ch, hb)
+    if sorted(poset.nodes) != bggmod.dominance_block(la, ch, hb):
+        raise AssertionError("orbit block differs from dominance block")
     edges = bggmod.covers(poset)
     diamonds, strands = bggmod.diamonds_and_strands(poset, edges)
     signs = bggmod.sign_assignment(poset, edges)

@@ -168,26 +168,8 @@ def step_changes(hbar, ch):
 
 
 # ---------------------------------------------------------------------------
-# Tableaux.  A tableau mirrors its shape: a tuple of components, each a tuple
-# of rows, each row a tuple of entries from {1..n}.
-
-
-def tableau_boxes_by_entry(t):
-    """Dict entry -> box."""
-    out = {}
-    for m, comp in enumerate(t, start=1):
-        for r, row in enumerate(comp, start=1):
-            for c, k in enumerate(row, start=1):
-                out[k] = (r, c, m)
-    return out
-
-
-def tableau_from_box_order(mp, order):
-    """Build the tableau whose k-th entry sits at order[k-1]."""
-    filling = [[[None] * row_len for row_len in comp] for comp in mp]
-    for k, (r, c, m) in enumerate(order, start=1):
-        filling[m - 1][r - 1][c - 1] = k
-    return tuple(tuple(tuple(row) for row in comp) for comp in filling)
+# Tableaux.  A standard tableau is the tuple of its boxes (r, c, m) in entry
+# order: the box holding k is t[k - 1], and each prefix t[:k] is a shape.
 
 
 def standard_tableaux(mp):
@@ -197,7 +179,7 @@ def standard_tableaux(mp):
 
     def rec(shape):
         if len(order) == n:
-            yield tableau_from_box_order(mp, order)
+            yield tuple(order)
             return
         for b in sorted(addable_boxes(shape)):
             r, c, m = b
@@ -300,20 +282,18 @@ def count_standard_tableaux(mp):
     return _count_fold()(mp)
 
 
-def reverse_column_reading_tableau(mp, m=1):
-    """The tableau filling column 1 of components m-1, m-2, ... (wrapping
-    around to m), then column 2 in the same component order, and so on."""
-    ell = len(mp)
-    comp_order = [(m - 2 - j) % ell + 1 for j in range(ell)]
+def reverse_column_reading_tableau(mp):
+    """The tableau filling column 1 of components ell, ell - 1, ..., 1, then
+    column 2 in the same component order, and so on."""
     max_width = max((comp[0] if comp else 0) for comp in mp) if mp else 0
     order = []
     for c in range(1, max_width + 1):
-        for cm in comp_order:
+        for cm in range(len(mp), 0, -1):
             comp = mp[cm - 1]
             for r in range(1, len(comp) + 1):
                 if comp[r - 1] >= c:
                     order.append((r, c, cm))
-    return tableau_from_box_order(mp, order)
+    return tuple(order)
 
 
 def _step_degrees(mu, ch):
@@ -357,11 +337,9 @@ def tableau_degree(t, ch):
     residue and a larger box_key, minus such removable boxes.  Only the
     added box is looked at, so this per-tableau sum shares no code with
     the fold's _step_degrees."""
-    by_entry = tableau_boxes_by_entry(t)
-    shape = tuple(() for _ in t)
+    shape = tuple(() for _ in ch.s)
     deg = 0
-    for k in range(1, len(by_entry) + 1):
-        b = by_entry[k]
+    for b in t:
         shape = add_box(shape, b)
         i, key = residue(b, ch), box_key(b, ch)
         deg += (sum(1 for x in addable_boxes(shape, ch, i) if box_key(x, ch) > key)

@@ -41,32 +41,28 @@ from .cyclotomics import Cyc, re_compare
 
 
 def _norm(m, e):
-    return tuple(x % e for x in m) if e else tuple(m)
+    return tuple(x % e for x in m)
 
 
 def is_calibrated_weight(m, e):
     """For every equal pair m_i = m_j (i < j), both neighbours m_i + 1 and
-    m_i - 1 must occur strictly between them (all mod e when e > 0)."""
+    m_i - 1 must occur strictly between them, all mod e."""
     m = _norm(m, e)
     n = len(m)
     for i in range(n):
         for j in range(i + 1, n):
             if m[i] == m[j]:
                 between = set(m[i + 1 : j])
-                up = (m[i] + 1) % e if e else m[i] + 1
-                down = (m[i] - 1) % e if e else m[i] - 1
-                if up not in between or down not in between:
+                if (m[i] + 1) % e not in between or (m[i] - 1) % e not in between:
                     return False
     return True
 
 
 def admissible_transposition(m, i, e):
     """s_i is admissible at m when b_{i+1} != q^{+-1} b_i, that is when
-    m_{i+1} - m_i is not +-1 (mod e when e > 0)."""
+    m_{i+1} - m_i is not +-1 mod e."""
     d = m[i] - m[i - 1]
-    if e:
-        return (d - 1) % e != 0 and (d + 1) % e != 0
-    return d != 1 and d != -1
+    return (d - 1) % e != 0 and (d + 1) % e != 0
 
 
 def weight_class(m, e):

@@ -136,7 +136,8 @@ def degree_sweep(es, levels, h_max, n_max):
     """Criterion 8 on every standard tableau of size <= n_max that fits an
     s-admissible frame hbar in [1, h_max]^ell with |hbar| < e: the degree of
     its alcove path equals its tableau degree (None when the frame is
-    invalid for the charge)."""
+    invalid for the charge).  A tableau, and the t of each case, is the
+    tuple of its boxes (r, c, m) in entry order."""
     from .alcoves import path_degree, tableau_to_path
     from .multipartitions import standard_tableaux, tableau_degree
 

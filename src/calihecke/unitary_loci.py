@@ -18,7 +18,6 @@ from .multipartitions import (
     residue,
     reverse_column_reading_tableau,
     standard_tableaux,
-    tableau_boxes_by_entry,
     is_partition,
 )
 
@@ -165,11 +164,9 @@ def q_admissible_tableaux(la, e):
         return list(standard_tableaux((la,)))
     ch = Charge((0,), e)
     for t in standard_tableaux((la,)):
-        by_entry = tableau_boxes_by_entry(t)
         shape = (tuple(la),)
         good = True
-        for k in range(len(by_entry), 0, -1):
-            b = by_entry[k]
+        for b in reversed(t):
             down = e_tilde(shape, ch, residue(b, ch))
             if down is None or down != remove_box(shape, b):
                 good = False
@@ -183,11 +180,8 @@ def q_admissible_tableaux(la, e):
 def column_reading_weight(la, e):
     """Exponent vector of the column-reading tableau: m_k = -content of the
     box holding k, reduced mod e."""
-    t = reverse_column_reading_tableau((la,), m=1)
-    by_entry = tableau_boxes_by_entry(t)
     ch = Charge((0,), e)
-    return tuple((-charged_content(by_entry[k], ch)) % e
-                 for k in range(1, len(by_entry) + 1))
+    return tuple((-charged_content(b, ch)) % e for b in reverse_column_reading_tableau((la,)))
 
 
 @lru_cache(maxsize=None)

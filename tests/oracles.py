@@ -47,10 +47,12 @@ the reduced scanned word, ``reachable_by_size_scan`` is the breadth-first
 walk over them, and ``is_reachable_recursive`` and
 ``has_stuttering_build_recursive`` are the original recursions over the
 e_tilde images, with a memo local to one call.
-``is_standard_tableau``, ``residue_sequence`` and ``residue_multiset`` read
-a tableau or a multipartition by the definitions: standardness entry by
-entry, the residues of the entries 1..n in order, and the residues of the
-boxes counted.
+A tableau is the tuple of its boxes in entry order, as standard_tableaux
+yields it.  ``is_standard_tableau``, ``residue_sequence`` and
+``residue_multiset`` read a tableau or a multipartition by the definitions:
+standardness entry by entry on the filling that ``tableau_filling`` writes,
+the residues of the entries 1..n in order, and the residues of the boxes
+counted.
 """
 
 from fractions import Fraction
@@ -74,7 +76,6 @@ from calihecke.multipartitions import (
     removable_boxes,
     residue,
     standard_tableaux,
-    tableau_boxes_by_entry,
     tableau_degree,
 )
 from calihecke.seminormal import (
@@ -351,13 +352,10 @@ def in_fundamental_alcove_direct(mp, ch, hbar):
 def alcove_filtered_basis(la, ch, hbar):
     """The sorted standard tableaux of la all of whose prefix shapes lie in
     the fundamental alcove."""
-    n = mp_size(la)
     out = []
     for t in standard_tableaux(la):
-        by_entry = tableau_boxes_by_entry(t)
-        order = [by_entry[k] for k in range(1, n + 1)]
-        if all(in_fundamental_alcove_direct(_prefix_shape(order[:k], len(la)), ch, hbar)
-               for k in range(n + 1)):
+        if all(in_fundamental_alcove_direct(_prefix_shape(t[:k], len(la)), ch, hbar)
+               for k in range(len(t) + 1)):
             out.append(t)
     return sorted(out)
 
@@ -586,7 +584,7 @@ def covers_all_pairs(poset):
     return edges
 
 
-def sign_assignment_rows(poset, edges=None):
+def sign_assignment_rows(poset, edges):
     """Edge signs with product -1 around every diamond (sign -1 <-> bit 1),
     or None if infeasible, by Gauss-Jordan elimination on the rows.
 
@@ -595,8 +593,6 @@ def sign_assignment_rows(poset, edges=None):
     pivot and has the column's bit; each row left with the right-hand side
     sets its first edge to -1.
     """
-    if edges is None:
-        edges = covers_all_pairs(poset)
     diamonds, _ = diamonds_and_strands(poset, edges)
     index = {edge: k for k, edge in enumerate(edges)}
     rhs = 1 << len(edges)
@@ -643,17 +639,15 @@ def dominance_block_full(la, ch, hbar):
 def admissible_transposition_reduced(m, i, e):
     """s_i is admissible at m when b_{i+1} != q^{+-1} b_i, decided on the
     weight reduced mod e."""
-    m = tuple(x % e for x in m) if e else tuple(m)
-    up = (m[i - 1] + 1) % e if e else m[i - 1] + 1
-    down = (m[i - 1] - 1) % e if e else m[i - 1] - 1
-    return m[i] != up and m[i] != down
+    m = tuple(x % e for x in m)
+    return m[i] != (m[i - 1] + 1) % e and m[i] != (m[i - 1] - 1) % e
 
 
 def weight_class_by_search(m, e):
-    """The weights that m, reduced mod e when e > 0, reaches by the s_i
-    that admissible_transposition_reduced admits and that swap two
-    different entries, by a breadth-first search, sorted."""
-    start = tuple(x % e for x in m) if e else tuple(m)
+    """The weights that m, reduced mod e, reaches by the s_i that
+    admissible_transposition_reduced admits and that swap two different
+    entries, by a breadth-first search, sorted."""
+    start = tuple(x % e for x in m)
     seen, queue = {start}, [start]
     for wt in queue:
         for i in range(1, len(wt)):
@@ -806,15 +800,21 @@ def has_stuttering_build_recursive(mp, ch):
     return stutters(mp)
 
 
-def is_standard_tableau(t):
-    shape = tuple(tuple(len(row) for row in comp) for comp in t)
-    if not is_multipartition(shape):
+def tableau_filling(mp, t):
+    """The filling of mp whose entry k sits at t[k - 1]: components of rows
+    of entries, None where t puts no box."""
+    filling = [[[None] * row_len for row_len in comp] for comp in mp]
+    for k, (r, c, m) in enumerate(t, start=1):
+        filling[m - 1][r - 1][c - 1] = k
+    return tuple(tuple(tuple(row) for row in comp) for comp in filling)
+
+
+def is_standard_tableau(mp, t):
+    """Is the box order t a standard tableau of mp?  Its filling holds
+    1..|mp| once each, increasing along every row and down every column."""
+    if not is_multipartition(mp) or sorted(t) != sorted(boxes(mp)):
         return False
-    entries = [k for comp in t for row in comp for k in row]
-    n = len(entries)
-    if sorted(entries) != list(range(1, n + 1)):
-        return False
-    for comp in t:
+    for comp in tableau_filling(mp, t):
         for r, row in enumerate(comp):
             for c, k in enumerate(row):
                 if c + 1 < len(row) and row[c + 1] <= k:
@@ -825,8 +825,7 @@ def is_standard_tableau(t):
 
 
 def residue_sequence(t, ch):
-    by_entry = tableau_boxes_by_entry(t)
-    return tuple(residue(by_entry[k], ch) for k in range(1, len(by_entry) + 1))
+    return tuple(residue(b, ch) for b in t)
 
 
 def residue_multiset(mp, ch):

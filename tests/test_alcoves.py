@@ -183,13 +183,12 @@ def test_fundamental_paths_bounded_by_standard_tableaux():
 
 
 def _prefix_shapes(t):
-    from calihecke.multipartitions import tableau_boxes_by_entry, add_box
+    from calihecke.multipartitions import add_box
 
-    by_entry = tableau_boxes_by_entry(t)
-    mp = tuple(() for _ in t)
+    mp = ((),) * len(HBAR)
     out = []
-    for k in sorted(by_entry):
-        mp = add_box(mp, by_entry[k])
+    for b in t:
+        mp = add_box(mp, b)
         out.append(mp)
     return out
 

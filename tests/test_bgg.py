@@ -30,7 +30,7 @@ from calihecke.multipartitions import (
     multipartitions_of,
     tableau_sums,
 )
-from calihecke.sweeps import SUITES, frames
+from calihecke.sweeps import SUITES, charges, frames
 from conftest import clear_package_caches
 import oracles
 from oracles import (
@@ -70,8 +70,8 @@ def _count_alcove_tests(monkeypatch):
 
 def test_level_one_block_21():
     ch = Charge((0,), 3)
-    poset = block_poset(((2, 1),), ch, (2,), cross_validate=True)
-    assert poset.nodes == [((2, 1),), ((3,),)]
+    poset = block_poset(((2, 1),), ch, (2,))
+    assert poset.nodes == dominance_block(((2, 1),), ch, (2,)) == [((2, 1),), ((3,),)]
     assert poset.lengths == {((2, 1),): 0, ((3,),): 1}
     assert covers(poset) == [(((3,),), ((2, 1),))]
     assert graded_specht_character(((2, 1),), ch) == {0: 1, 1: 1}
@@ -90,7 +90,8 @@ LA = ((1, 1), (2,))
 
 
 def test_block_with_diamond():
-    poset = block_poset(LA, CH, HBAR, cross_validate=True)
+    poset = block_poset(LA, CH, HBAR)
+    assert sorted(poset.nodes) == dominance_block(LA, CH, HBAR)
     assert poset.nodes[0] == LA
     assert poset.lengths == {
         ((1, 1), (2,)): 0,
@@ -203,7 +204,7 @@ def test_column_signs_match_row_elimination_on_random_systems(system):
 
 def test_sign_assignment_trivial_without_diamonds():
     poset = block_poset(((2, 1),), Charge((0,), 3), (2,))
-    signs = sign_assignment(poset)
+    signs = sign_assignment(poset, covers(poset))
     assert signs == {(((3,),), ((2, 1),)): 1}
 
 
@@ -242,12 +243,14 @@ def test_entry_points_take_hbar_as_a_list():
         mod = build_klr_module(la, ch, hbar)
         return (in_fundamental_alcove(la, ch, hbar), count_fundamental_paths(la, ch, hbar),
                 mod.dim(), euler_check(la, ch, hbar), graded_character_identity(la, ch, hbar),
-                block_poset(la, ch, hbar, cross_validate=True).nodes, verify_klr_relations(mod))
+                block_poset(la, ch, hbar).nodes, dominance_block(la, ch, hbar),
+                verify_klr_relations(mod))
 
     listed = results([2, 1])
     assert listed == results((2, 1))
     assert listed[1] == listed[2] == listed[3]["fundamental_paths"] == 22
     assert listed[0] and listed[3]["ok"] and all(listed[-1].values())
+    assert sorted(listed[5]) == listed[6]
 
 
 def test_klr_basis_tests_each_prefix_shape_once(monkeypatch):
@@ -405,10 +408,17 @@ def test_prefix_shape_recursions_match_tableau_oracles():
             assert mod.residues == [path_residues(p, ch, hb) for p in paths], (la, ch)
             assert build_klr_module(la, ch, hb).dim() == len(paths), (la, ch)
             assert mod.dim() == count_fundamental_paths(la, ch, hb), (la, ch)
-    for mu, ch in nodes:
-        assert graded_specht_character(mu, ch) == tableau_sum_character(mu, ch), (mu, ch)
     assert (labels, klr_labels) == (GATE_FLOORS["euler"], GATE_FLOORS["klr_relations"])
     assert len(nodes) == 1930
+    # and outside the admissible frames: every nonempty shape of size <= 5
+    # (<= 4 at level 3) at every sorted charge, where a tableau's level is
+    # the charge's, not the last component its boxes reach
+    small = {(mu, ch) for e in (2, 3, 4) for ell in (2, 3)
+             for ch in charges(e, ell, pinned=False)
+             for n in range(1, 6 if ell == 2 else 5) for mu in multipartitions_of(n, ell)}
+    assert len(small) == 4277
+    for mu, ch in nodes | small:
+        assert graded_specht_character(mu, ch) == tableau_sum_character(mu, ch), (mu, ch)
 
 
 def test_window_report_matches_column_oracle():

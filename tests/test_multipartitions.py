@@ -42,6 +42,7 @@ from oracles import (
     residue_multiset,
     residue_sequence,
     step_degrees_by_helpers,
+    tableau_filling,
 )
 
 
@@ -207,13 +208,13 @@ def test_one_scan_steps_match_the_helper_oracles():
 
 def test_reverse_column_reading_known():
     mp = ((2, 1), (4, 2, 1), (5,))
-    t = reverse_column_reading_tableau(mp, m=1)
-    assert t == COLUMN_READING
-    assert is_standard_tableau(t)
+    t = reverse_column_reading_tableau(mp)
+    assert tableau_filling(mp, t) == COLUMN_READING
+    assert is_standard_tableau(mp, t)
 
 
 def test_column_reading_residue_sequence():
-    t = reverse_column_reading_tableau(((2, 1), (4, 2, 1), (5,)), m=1)
+    t = reverse_column_reading_tableau(((2, 1), (4, 2, 1), (5,)))
     ch = Charge((-1, 2, 0), 4)
     assert residue_sequence(t, ch) == (0, 2, 1, 0, 3, 2, 1, 3, 2, 0, 2, 0, 3, 1, 0)
 
@@ -224,7 +225,7 @@ def test_column_reading_degree_zero_at_step_change():
     hbar = heights(mp)
     assert is_s_admissible(hbar, ch)
     assert 1 in step_changes(hbar, ch)
-    t = reverse_column_reading_tableau(mp, m=1)
+    t = reverse_column_reading_tableau(mp)
     assert tableau_degree(t, ch) == 0
 
 
@@ -250,7 +251,7 @@ def test_standard_tableaux_counts():
         tabs = list(standard_tableaux(mp))
         assert len(tabs) == expected
         assert count_standard_tableaux(mp) == expected
-        assert all(is_standard_tableau(t) for t in tabs)
+        assert all(is_standard_tableau(mp, t) for t in tabs)
         assert len(set(tabs)) == expected
 
 
